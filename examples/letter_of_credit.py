@@ -7,8 +7,12 @@
 2. Execute the designed solution on the Fabric simulation: buyer applies,
    bank issues, seller ships, bank pays — then the buyer invokes GDPR
    erasure of their KYC record while the audit trail survives.
+3. Run the same workflow on Corda and Quorum: the lifecycle completes on
+   both, PII lands in Corda's external store, and Quorum refuses it.
 """
 
+from repro.common.errors import PlatformError
+from repro.platforms import CordaNetwork, QuorumNetwork
 from repro.usecases.letter_of_credit import (
     LetterOfCreditWorkflow,
     design_letter_of_credit,
@@ -57,6 +61,24 @@ def main() -> None:
     print("The trusted third-party orderer, by contrast, saw:")
     print(f"  identities: {sorted(orderer.seen_identities & set(workflow.PARTIES))}")
     print(f"  data keys:  {len(orderer.seen_data_keys)} keys")
+    print()
+
+    print("=" * 60)
+    print("Step 3: the same workflow on Corda and Quorum")
+    print("=" * 60)
+    for network in (CordaNetwork(seed="loc-corda"), QuorumNetwork(seed="loc-quorum")):
+        workflow = LetterOfCreditWorkflow(network=network)
+        workflow.setup()
+        loc = workflow.run_full_lifecycle("LC-2026-002")
+        print(f"{network.platform_name}: lifecycle -> {loc.status}")
+        try:
+            workflow.apply_for_credit(
+                "LC-2026-003", amount=10, buyer_passport="P-55667788"
+            )
+            workflow.erase_pii("LC-2026-003")
+            print(f"  PII erasable: {workflow.pii_is_erased('LC-2026-003')}")
+        except PlatformError as refusal:
+            print(f"  PII refused: {refusal}")
 
 
 if __name__ == "__main__":

@@ -165,18 +165,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _traced_lifecycle(platform: str):
     """Run one letter-of-credit lifecycle on *platform*; return its
     telemetry bundle (spans + metrics + events, all simulated-time)."""
-    if platform == "fabric":
-        from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
+    from repro.driver.scenarios import make_platform
+    from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
 
-        workflow = LetterOfCreditWorkflow()
-    elif platform == "corda":
-        from repro.usecases.letter_of_credit_multi import CordaLetterOfCredit
-
-        workflow = CordaLetterOfCredit()
-    else:
-        from repro.usecases.letter_of_credit_multi import QuorumLetterOfCredit
-
-        workflow = QuorumLetterOfCredit()
+    seed = "loc" if platform == "fabric" else f"loc-{platform}"
+    workflow = LetterOfCreditWorkflow(network=make_platform(platform, seed))
     workflow.setup()
     workflow.run_full_lifecycle()
     workflow.network.network.run()  # drain in-flight messages -> transit spans

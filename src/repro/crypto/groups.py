@@ -4,8 +4,10 @@ All discrete-log based primitives in the library (signatures, Pedersen
 commitments, ZK proofs, anonymous credentials, one-time keys) operate in the
 same Schnorr group: the prime-order-q subgroup of Z_p* for a safe prime
 p = 2q + 1.  A fixed 1536-bit production-style group and a small test group
-are provided; the group is a parameter everywhere so tests can run fast while
-the defaults remain realistic.
+are provided, and the group is a parameter everywhere.  Every scheme
+defaults to the test group (:func:`cached_test_group`: p of 161 bits, q of
+160 bits), which keeps simulations fast; pass :func:`cached_default_group`
+for production-sized arithmetic.
 
 The implementation is deliberately plain modular arithmetic: the paper's
 design guide reasons about the *capabilities* of these primitives, and a

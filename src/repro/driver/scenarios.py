@@ -44,7 +44,7 @@ class BenchScenario:
     params: dict = field(default_factory=dict)
 
 
-def _make_platform(platform_name: str, seed: str) -> Platform:
+def make_platform(platform_name: str, seed: str) -> Platform:
     if platform_name == "fabric":
         return FabricNetwork(seed=seed)
     if platform_name == "corda":
@@ -78,9 +78,30 @@ def _record_trade(view, args):
     return args["key"]
 
 
+# A blind write, not the Section 4 lifecycle in
+# repro.usecases.letter_of_credit: loc_scenario is a throughput mix that
+# emits each application's stages back to back, Fabric's submit_many
+# endorses a whole batch against one snapshot, and perfbench resubmits
+# timed-out requests out of order, so a transition check would reject most
+# issue/ship/pay requests.
 def _loc_advance(view, args):
     view.put(args["loc_id"], {"stage": args["stage"], "amount": args["amount"]})
     return args["stage"]
+
+
+def _corda_state_builder(net: CordaNetwork, request: TxRequest):
+    """The generic Corda flow: one new state holding the request's args,
+    shared by the submitter and ``private_for``, signed by the submitter."""
+    state = ContractState(
+        contract_id=request.contract_id,
+        participants=(request.submitter,) + tuple(request.private_for or ()),
+        data=dict(request.args),
+    )
+    return net.build_transaction(
+        inputs=[], outputs=[state],
+        commands=[Command(name=request.function.capitalize(),
+                          signers=(request.submitter,))],
+    )
 
 
 # -- KV update workload ----------------------------------------------------
@@ -95,7 +116,7 @@ def kv_scenario(
     seed: str = "bench",
 ) -> BenchScenario:
     """Key-value updates with configurable Zipfian contention."""
-    platform = _make_platform(platform_name, f"{seed}-{platform_name}-kv")
+    platform = make_platform(platform_name, f"{seed}-{platform_name}-kv")
     _onboard(platform)
     submitters = list(BENCH_ORGS[: max(1, min(workers, len(BENCH_ORGS)))])
     contract = SmartContract(
@@ -118,7 +139,7 @@ def kv_scenario(
                 if state.contract_id == "kv-store" and state.data["value"] < 0:
                     raise PlatformError("kv values must be non-negative")
         platform.register_contract("kv-store", verify, language="kotlin")
-        platform.register_flow("kv-store", "put", _corda_kv_builder)
+        platform.register_flow("kv-store", "put", _corda_state_builder)
     else:
         platform.deploy_contract(submitters[0], contract)
     requests = [
@@ -147,19 +168,6 @@ def kv_scenario(
     )
 
 
-def _corda_kv_builder(net: CordaNetwork, request: TxRequest):
-    participants = request.private_for or (request.submitter,)
-    state = ContractState(
-        contract_id="kv-store",
-        participants=tuple(participants),
-        data={"key": request.args["key"], "value": request.args["value"]},
-    )
-    return net.build_transaction(
-        inputs=[], outputs=[state],
-        commands=[Command(name="Put", signers=(request.submitter,))],
-    )
-
-
 # -- bilateral trade workload ----------------------------------------------
 
 
@@ -175,7 +183,7 @@ def trade_scenario(
     (uninvolved orgs and the ordering principal learn no more than the
     platform's documented exposure) applies to driver-generated load.
     """
-    platform = _make_platform(platform_name, f"{seed}-{platform_name}-trades")
+    platform = make_platform(platform_name, f"{seed}-{platform_name}-trades")
     _onboard(platform)
     contract = SmartContract(
         contract_id="trade-contract",
@@ -281,7 +289,7 @@ def loc_scenario(
     (``private_args``); Corda and Quorum cannot host deletable PII
     (Table 1), so their applications reference it by anchor only.
     """
-    platform = _make_platform(platform_name, f"{seed}-{platform_name}-loc")
+    platform = make_platform(platform_name, f"{seed}-{platform_name}-loc")
     _onboard(platform)
     members = sorted(set(LOC_APPLICANTS + LOC_BENEFICIARIES))
     contract = SmartContract(
@@ -309,7 +317,7 @@ def loc_scenario(
                     raise PlatformError("credit amount must be positive")
         platform.register_contract("loc-contract", verify, language="kotlin")
         for stage in ("apply", "issue", "ship", "pay"):
-            platform.register_flow("loc-contract", stage, _corda_loc_builder)
+            platform.register_flow("loc-contract", stage, _corda_state_builder)
     else:
         platform.deploy_contract(LOC_APPLICANTS[0], contract)
     requests = []
@@ -363,24 +371,6 @@ def loc_scenario(
             "applications": applications,
             "completion_fraction": completion_fraction,
         },
-    )
-
-
-def _corda_loc_builder(net: CordaNetwork, request: TxRequest):
-    participants = (request.submitter,) + tuple(request.private_for or ())
-    state = ContractState(
-        contract_id="loc-contract",
-        participants=participants,
-        data={
-            "loc_id": request.args["loc_id"],
-            "stage": request.args["stage"],
-            "amount": request.args["amount"],
-        },
-    )
-    return net.build_transaction(
-        inputs=[], outputs=[state],
-        commands=[Command(name=request.args["stage"].capitalize(),
-                          signers=(request.submitter,))],
     )
 
 

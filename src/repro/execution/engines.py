@@ -294,9 +294,6 @@ class TEEEngine(ExecutionEngine):
     def measurement_of(self, node: str, contract_id: str) -> bytes:
         return self._measurements[(node, contract_id)]
 
-    def enclave_of(self, node: str, contract_id: str) -> Enclave:
-        return self._enclaves[(node, contract_id)]
-
     def execute(
         self,
         node: str,

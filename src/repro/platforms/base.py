@@ -149,7 +149,11 @@ class Platform:
     platform_name = "abstract"
     open_source = True
 
-    def __init__(self, seed: str = "platform") -> None:
+    def __init__(
+        self, seed: str = "platform", resilient_delivery: bool = False
+    ) -> None:
+        # Plain attribute: callers may switch it after construction.
+        self.resilient_delivery = resilient_delivery
         self.clock = SimClock()
         self.rng = DeterministicRNG(seed)
         self.scheme = SignatureScheme()
@@ -294,6 +298,19 @@ class Platform:
             "signature_verify": self.scheme.cache_info(),
             "certificate_chain": self.ca.cache_info(),
         }
+
+    def send_critical(
+        self, sender: str, recipient: str, kind: str, payload, exposure=None
+    ):
+        """Send on a flow's critical hop (orderer submit, notarise, private
+        payload): retried until acknowledged when ``resilient_delivery`` is
+        set, a single best-effort send otherwise."""
+        hop = (
+            self.network.send_with_retry
+            if self.resilient_delivery
+            else self.network.send
+        )
+        return hop(sender, recipient, kind, payload, exposure=exposure)
 
     # -- fault injection
 

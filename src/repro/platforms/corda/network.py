@@ -85,8 +85,7 @@ class CordaNetwork(Platform):
         notary_operator: str = "third-party",
         resilient_delivery: bool = False,
     ) -> None:
-        super().__init__(seed=seed)
-        self.resilient_delivery = resilient_delivery
+        super().__init__(seed=seed, resilient_delivery=resilient_delivery)
         self.network.add_node(NOTARY_NODE)
         self.notary = Notary(
             NOTARY_NODE,
@@ -291,16 +290,11 @@ class CordaNetwork(Platform):
             # 4. Notarise.  Non-validating notaries get a tear-off only.  The
             # notarise hop is the flow's critical round-trip, so it is the one
             # that opts into resilient delivery.
-            notarise_hop = (
-                self.network.send_with_retry
-                if self.resilient_delivery
-                else self.network.send
-            )
             with self.telemetry.span(
                 "corda.notarise", validating=self.notary.validating
             ):
                 if self.notary.validating:
-                    notarise_hop(
+                    self.send_critical(
                         initiator, NOTARY_NODE, "notarise-full",
                         {"tx_id": wire.tx_id}, exposure=exposure,
                     )
@@ -312,7 +306,7 @@ class CordaNetwork(Platform):
                     self.telemetry.metrics.counter(
                         "crypto.ops", mechanism="merkle-tear-off"
                     ).inc()
-                    notarise_hop(
+                    self.send_critical(
                         initiator, NOTARY_NODE, "notarise-filtered",
                         {"tx_id": wire.tx_id}, exposure=Exposure(),
                     )

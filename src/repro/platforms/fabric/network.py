@@ -103,8 +103,7 @@ class FabricNetwork(Platform):
         orderer_operator: str = "third-party",
         resilient_delivery: bool = False,
     ) -> None:
-        super().__init__(seed=seed)
-        self.resilient_delivery = resilient_delivery
+        super().__init__(seed=seed, resilient_delivery=resilient_delivery)
         self.network.add_node(ORDERER_NODE)
         self.orderer = OrderingService(
             ORDERER_NODE,
@@ -421,12 +420,7 @@ class FabricNetwork(Platform):
             for proposal in proposals:
                 if proposal.channel_name != channel_name:
                     raise PlatformError("proposal belongs to a different channel")
-                submit_hop = (
-                    self.network.send_with_retry
-                    if self.resilient_delivery
-                    else self.network.send
-                )
-                submit_hop(
+                self.send_critical(
                     proposal.tx.submitter
                     if proposal.tx.submitter in self.parties
                     else sorted(channel.members)[0],

@@ -83,8 +83,7 @@ class QuorumNetwork(Platform):
         consensus_operator: str = "member",
         resilient_delivery: bool = False,
     ) -> None:
-        super().__init__(seed=seed)
-        self.resilient_delivery = resilient_delivery
+        super().__init__(seed=seed, resilient_delivery=resilient_delivery)
         self.network.add_node(SEQUENCER_NODE)
         self.chain = Chain("quorum-public")
         self.public_states: dict[str, WorldState] = {}
@@ -362,14 +361,9 @@ class QuorumNetwork(Platform):
                 self.telemetry.metrics.counter(
                     "crypto.ops", mechanism="private-payload-encryption"
                 ).inc(len(participants) - 1 - len(unavailable))
-                payload_hop = (
-                    self.network.send_with_retry
-                    if self.resilient_delivery
-                    else self.network.send
-                )
                 for participant in recipients:
                     if participant not in unavailable:
-                        payload_hop(
+                        self.send_critical(
                             sender, participant, "private-payload",
                             {"hash": payload_hash}, exposure=Exposure(),
                         )

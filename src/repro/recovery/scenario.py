@@ -187,13 +187,10 @@ def _run_fabric(seed: str) -> RecoveryScenarioResult:
 
 def _run_corda(seed: str) -> RecoveryScenarioResult:
     from repro.platforms.corda import Command, ContractState, CordaNetwork
-    from repro.usecases.letter_of_credit_multi import (
-        PARTIES,
-        CordaLetterOfCredit,
-    )
+    from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
 
     net = CordaNetwork(seed=seed, resilient_delivery=True)
-    wf = CordaLetterOfCredit(network=net)
+    wf = LetterOfCreditWorkflow(network=net)
     wf.setup(extra_network_members=(OUTSIDER,))
     net.inject_faults(canonical_fault_plan())
     outsider_obs = net.network.node(OUTSIDER).observer
@@ -201,7 +198,7 @@ def _run_corda(seed: str) -> RecoveryScenarioResult:
     base_keys = set(outsider_obs.seen_data_keys)
 
     wf.apply_for_credit(LOC_ID, amount=100_000, buyer_passport="P-R-43")
-    wf.advance("IssuingBank", LOC_ID)  # -> issued
+    wf.issue(LOC_ID)
 
     wf.checkpoint("BuyerCo")
     wf.crash("BuyerCo")
@@ -225,12 +222,12 @@ def _run_corda(seed: str) -> RecoveryScenarioResult:
 
     checkpoint = wf.recover("BuyerCo")
 
-    wf.advance("SellerCo", LOC_ID)      # -> shipped
-    wf.advance("IssuingBank", LOC_ID)   # -> paid
+    wf.ship(LOC_ID)
+    wf.pay(LOC_ID)
     net.network.run()
 
     report = audit_convergence(net)
-    statuses = {p: wf.status_of(LOC_ID, p) for p in PARTIES}
+    statuses = {p: wf.status_of(LOC_ID, p) for p in wf.PARTIES}
 
     buyer_obs = net.network.node("BuyerCo").observer
     findings = []
@@ -255,13 +252,10 @@ def _run_corda(seed: str) -> RecoveryScenarioResult:
 def _run_quorum(seed: str) -> RecoveryScenarioResult:
     from repro.execution.contracts import SmartContract
     from repro.platforms.quorum import QuorumNetwork
-    from repro.usecases.letter_of_credit_multi import (
-        PARTIES,
-        QuorumLetterOfCredit,
-    )
+    from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
 
     net = QuorumNetwork(seed=seed, resilient_delivery=True)
-    wf = QuorumLetterOfCredit(network=net)
+    wf = LetterOfCreditWorkflow(network=net)
     wf.setup(extra_network_members=(OUTSIDER,))
     net.inject_faults(canonical_fault_plan())
     outsider_obs = net.network.node(OUTSIDER).observer
@@ -274,7 +268,7 @@ def _run_quorum(seed: str) -> RecoveryScenarioResult:
 
     # Advance while SellerCo is down: the resilient txmanager queues the
     # payload for redelivery instead of failing the whole transaction.
-    wf.advance("IssuingBank", LOC_ID)  # -> issued (SellerCo owed a payload)
+    wf.issue(LOC_ID)  # SellerCo is owed the payload
 
     # A side private transaction SellerCo is not entitled to.
     def put(view, args):
@@ -294,14 +288,14 @@ def _run_quorum(seed: str) -> RecoveryScenarioResult:
     )
 
     checkpoint = wf.recover("SellerCo")
-    wf.redeliver_pending()
+    net.redeliver_pending()
 
-    wf.advance("SellerCo", LOC_ID)      # -> shipped
-    wf.advance("IssuingBank", LOC_ID)   # -> paid
+    wf.ship(LOC_ID)
+    wf.pay(LOC_ID)
     net.network.run()
 
     report = audit_convergence(net)
-    statuses = {p: wf.status_of(LOC_ID, p) for p in PARTIES}
+    statuses = {p: wf.status_of(LOC_ID, p) for p in wf.PARTIES}
 
     findings = []
     if net.private_states["SellerCo"].exists(SIDE_KEY):

@@ -23,10 +23,6 @@ from repro.platforms.corda.network import NOTARY_NODE, CordaNetwork
 from repro.platforms.fabric.network import ORDERER_NODE, FabricNetwork
 from repro.platforms.quorum.network import SEQUENCER_NODE, QuorumNetwork
 from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
-from repro.usecases.letter_of_credit_multi import (
-    CordaLetterOfCredit,
-    QuorumLetterOfCredit,
-)
 
 
 def fabric_workflow(**network_kwargs) -> LetterOfCreditWorkflow:
@@ -37,16 +33,16 @@ def fabric_workflow(**network_kwargs) -> LetterOfCreditWorkflow:
     return wf
 
 
-def corda_workflow(**network_kwargs) -> CordaLetterOfCredit:
-    wf = CordaLetterOfCredit(
+def corda_workflow(**network_kwargs) -> LetterOfCreditWorkflow:
+    wf = LetterOfCreditWorkflow(
         network=CordaNetwork(seed="chaos-corda", **network_kwargs)
     )
     wf.setup(extra_network_members=("OutsiderCo",))
     return wf
 
 
-def quorum_workflow(**network_kwargs) -> QuorumLetterOfCredit:
-    wf = QuorumLetterOfCredit(
+def quorum_workflow(**network_kwargs) -> LetterOfCreditWorkflow:
+    wf = LetterOfCreditWorkflow(
         network=QuorumNetwork(seed="chaos-quorum", **network_kwargs)
     )
     wf.setup(extra_network_members=("OutsiderCo",))
@@ -116,11 +112,11 @@ class TestCordaChaos:
         wf.apply_for_credit("LC-C1", amount=1000, buyer_passport="P-1")
         wf.network.crash_ordering()
         with pytest.raises(OrderingError, match="down"):
-            wf.advance("IssuingBank", "LC-C1")
+            wf.issue("LC-C1")
         wf.network.recover_ordering()
-        assert wf.advance("IssuingBank", "LC-C1") == "issued"
-        wf.advance("SellerCo", "LC-C1")
-        assert wf.advance("IssuingBank", "LC-C1") == "paid"
+        assert wf.issue("LC-C1") == "issued"
+        wf.ship("LC-C1")
+        assert wf.pay("LC-C1") == "paid"
 
     def test_partition_to_notary_heals(self):
         wf = corda_workflow()
@@ -128,12 +124,12 @@ class TestCordaChaos:
         with pytest.raises(DeliveryError, match="partition"):
             wf.apply_for_credit("LC-C2", amount=1000, buyer_passport="P-2")
         wf.network.network.heal("BuyerCo", NOTARY_NODE)
-        assert wf.run_full_lifecycle("LC-C2") == "paid"
+        assert wf.run_full_lifecycle("LC-C2").status == "paid"
 
     def test_latency_spike_does_not_block_commit(self):
         wf = corda_workflow()
         wf.network.inject_faults(FaultPlan().slow_all(10.0))
-        assert wf.run_full_lifecycle("LC-C3") == "paid"
+        assert wf.run_full_lifecycle("LC-C3").status == "paid"
         wf.network.network.run()
         assert wf.status_of("LC-C3", "SellerCo") == "paid"
 
@@ -142,8 +138,9 @@ class TestCordaChaos:
         wf.network.inject_faults(
             FaultPlan().partition_between("BuyerCo", NOTARY_NODE, start=0.0, end=0.2)
         )
-        result = wf.apply_for_credit("LC-C4", amount=1000, buyer_passport="P-4")
-        assert result.receipt is not None
+        loc = wf.apply_for_credit("LC-C4", amount=1000, buyer_passport="P-4")
+        assert loc.status == "applied"
+        assert wf.status_of("LC-C4", "SellerCo") == "applied"  # notarised
         assert wf.network.network.stats.retries > 0
 
 
@@ -154,12 +151,12 @@ class TestQuorumChaos:
         wf.apply_for_credit("LC-Q1", amount=1000)
         wf.network.crash_ordering()
         with pytest.raises(OrderingError, match="down"):
-            wf.advance("IssuingBank", "LC-Q1")
+            wf.issue("LC-Q1")
         # No participant's private state moved: the retry cannot double-apply.
         for party in ("BuyerCo", "SellerCo", "IssuingBank"):
             assert wf.status_of("LC-Q1", party) == "applied"
         wf.network.recover_ordering()
-        wf.advance("IssuingBank", "LC-Q1")
+        wf.issue("LC-Q1")
         for party in ("BuyerCo", "SellerCo", "IssuingBank"):
             assert wf.status_of("LC-Q1", party) == "issued"
 
@@ -168,16 +165,16 @@ class TestQuorumChaos:
         wf.apply_for_credit("LC-Q2", amount=1000)
         wf.network.network.partition("IssuingBank", "BuyerCo")
         with pytest.raises(DeliveryError, match="partition"):
-            wf.advance("IssuingBank", "LC-Q2")
+            wf.issue("LC-Q2")
         assert wf.status_of("LC-Q2", "BuyerCo") == "applied"  # consistent
         wf.network.network.heal("IssuingBank", "BuyerCo")
-        wf.advance("IssuingBank", "LC-Q2")
+        wf.issue("LC-Q2")
         assert wf.status_of("LC-Q2", "BuyerCo") == "issued"
 
     def test_silent_loss_does_not_corrupt_lifecycle(self):
         wf = quorum_workflow()
         wf.network.network.drop_probability = 0.5
-        assert wf.run_full_lifecycle("LC-Q3") == "paid"
+        assert wf.run_full_lifecycle("LC-Q3").status == "paid"
         for party in ("BuyerCo", "SellerCo", "IssuingBank"):
             assert wf.status_of("LC-Q3", party) == "paid"
 
