@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo health gate: tier-1 tests, the chaos suite, then the strict self-lint.
+# Repo health gate: tier-1 tests, the chaos suite, the cross-process
+# determinism gate, then the strict self-lint.
 #
 # Usage: scripts/check.sh [extra pytest args]
 set -euo pipefail
@@ -32,6 +33,22 @@ python -m repro bench --platform fabric --workload loc --ops 10 --batch 25 > /de
 python -m repro bench --platform corda --workload trades --ops 8 --json > /dev/null
 python -m repro bench --platform quorum --workload kv --ops 10 --batch 5 > /dev/null
 python -m repro lint --strict src/repro/driver
+
+echo
+echo "== cross-process determinism gate (fingerprints + telemetry under 3 hash seeds) =="
+reference=""
+for hashseed in 0 1 12345; do
+    digests=$(PYTHONHASHSEED=$hashseed python scripts/fingerprints.py)
+    if [ -z "$reference" ]; then
+        reference=$digests
+        echo "$digests"
+    elif [ "$digests" != "$reference" ]; then
+        echo "PYTHONHASHSEED=$hashseed changed the digests:"
+        diff <(echo "$reference") <(echo "$digests") || true
+        exit 1
+    fi
+done
+echo "identical under PYTHONHASHSEED 0, 1 and 12345"
 
 echo
 echo "== strict self-lint (src/repro + examples) =="

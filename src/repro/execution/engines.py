@@ -35,6 +35,7 @@ from repro.execution.contracts import (
     SmartContract,
     StateView,
 )
+from repro.ledger.state import WorldState
 from repro.network.messages import Exposure
 from repro.network.simnet import Observer
 from repro.telemetry import Telemetry
@@ -89,8 +90,7 @@ class ExecutionEngine:
         contract_id: str,
         function: str,
         args: dict,
-        state: dict[str, Any],
-        versions: dict[str, int],
+        state: WorldState,
     ) -> ExecutionResult:
         raise NotImplementedError
 
@@ -143,12 +143,11 @@ class LedgerEngine(ExecutionEngine):
         contract_id: str,
         function: str,
         args: dict,
-        state: dict[str, Any],
-        versions: dict[str, int],
+        state: WorldState,
     ) -> ExecutionResult:
         contract = self.registry.lookup(node, contract_id)
         self._count_invocation(contract_id)
-        view = StateView(state, versions)
+        view = StateView(state)
         value = contract.invoke(function, view, args)
         # The node admin sees the code identity and all cleartext keys.
         self._admin_observer(node).observe_exposure(
@@ -207,12 +206,11 @@ class OffChainEngine(ExecutionEngine):
         contract_id: str,
         function: str,
         args: dict,
-        state: dict[str, Any],
-        versions: dict[str, int],
+        state: WorldState,
     ) -> ExecutionResult:
         contract = self.registry.lookup(node, contract_id)
         self._count_invocation(contract_id)
-        view = StateView(state, versions)
+        view = StateView(state)
         value = contract.invoke(function, view, args)
         self._admin_observer(node).observe_exposure(
             Exposure.of(
@@ -275,7 +273,7 @@ class TEEEngine(ExecutionEngine):
         enclave = self.manufacturer.provision()
 
         def enclave_program(payload: dict) -> dict:
-            view = StateView(payload["state"], payload["versions"])
+            view = StateView(WorldState.from_dump(payload["state"]))
             value = contract.invoke(payload["function"], view, payload["args"])
             return {
                 "return_value": value,
@@ -300,8 +298,7 @@ class TEEEngine(ExecutionEngine):
         contract_id: str,
         function: str,
         args: dict,
-        state: dict[str, Any],
-        versions: dict[str, int],
+        state: WorldState,
     ) -> ExecutionResult:
         key = (node, contract_id)
         if key not in self._enclaves:
@@ -320,8 +317,7 @@ class TEEEngine(ExecutionEngine):
             {
                 "function": function,
                 "args": args,
-                "state": state,
-                "versions": versions,
+                "state": state.dump(),
             }
         )
         encrypted = session.encrypt(payload, self._rng)

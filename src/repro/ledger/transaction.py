@@ -10,7 +10,7 @@ this with their own semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Mapping
 
 from repro.common.ids import content_id
 from repro.common.serialization import canonical_bytes
@@ -33,6 +33,16 @@ class WriteEntry:
     key: str
     value: Any = None
     is_delete: bool = False
+
+
+def write_set(
+    writes: Mapping[str, Any], deletes: Iterable[str]
+) -> tuple[WriteEntry, ...]:
+    """The write set of one contract execution: puts, then deletes, by key."""
+    return tuple(
+        [WriteEntry(key=k, value=v) for k, v in sorted(writes.items())]
+        + [WriteEntry(key=k, is_delete=True) for k in sorted(deletes)]
+    )
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,12 @@ commit paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.common.errors import EndorsementError, ValidationError
 from repro.crypto.signatures import PublicKey, SignatureScheme
 from repro.ledger.state import WorldState
-from repro.ledger.transaction import Transaction
+from repro.ledger.transaction import Transaction, WriteEntry
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,19 @@ def check_read_set(tx: Transaction, state: WorldState) -> None:
             )
 
 
-def apply_writes(tx: Transaction, state: WorldState) -> None:
-    """Apply the write set to the world state (after validation)."""
-    for write in tx.writes:
+def apply_write_set(writes: Iterable[WriteEntry], state: WorldState) -> None:
+    """Apply write-set entries in order; deleting an absent key is a no-op."""
+    for write in writes:
         if write.is_delete:
             if state.exists(write.key):
                 state.delete(write.key)
         else:
             state.put(write.key, write.value)
+
+
+def apply_writes(tx: Transaction, state: WorldState) -> None:
+    """Apply the transaction's write set to the world state (after validation)."""
+    apply_write_set(tx.writes, state)
 
 
 def validate_and_apply(

@@ -43,10 +43,14 @@ from repro.ledger.transaction import (
     Endorsement,
     ReadEntry,
     Transaction,
-    WriteEntry,
+    write_set,
 )
 from repro.ledger.state import WorldState
-from repro.ledger.validation import EndorsementPolicy, verify_endorsements
+from repro.ledger.validation import (
+    EndorsementPolicy,
+    apply_writes,
+    verify_endorsements,
+)
 from repro.network.messages import Exposure
 from repro.platforms.base import (
     Platform,
@@ -77,6 +81,7 @@ class ProposedTransaction:
     """An endorsed transaction awaiting ordering (propose-phase output)."""
 
     channel_name: str
+    contract_id: str
     tx: Transaction
     return_value: object
 
@@ -219,12 +224,7 @@ class FabricNetwork(Platform):
                     exposure=proposal_exposure,
                 )
                 result = self.engine.execute(
-                    endorser,
-                    contract_id,
-                    function,
-                    args,
-                    reference.snapshot(),
-                    {k: reference.version(k) for k in reference.keys()},
+                    endorser, contract_id, function, args, reference
                 )
                 results.append((endorser, result))
         first = results[0][1]
@@ -285,6 +285,8 @@ class FabricNetwork(Platform):
         else:
             visible_identities.add(submitter)
             submitter_label = submitter
+        # The participant list the orderer will see (paper Section 5).
+        metadata["participants"] = sorted(visible_identities)
 
         proposal_exposure = Exposure.of(
             identities=visible_identities, code_ids={contract_id}
@@ -317,10 +319,7 @@ class FabricNetwork(Platform):
             channel=channel_name,
             submitter=submitter_label,
             reads=tuple(ReadEntry(key=k, version=v) for k, v in sorted(execution.reads.items())),
-            writes=tuple(
-                [WriteEntry(key=k, value=v) for k, v in sorted(execution.writes.items())]
-                + [WriteEntry(key=k, is_delete=True) for k in sorted(execution.deletes)]
-            ),
+            writes=write_set(execution.writes, execution.deletes),
             private_hashes=private_hashes,
             metadata=metadata,
             timestamp=self.clock.now,
@@ -339,17 +338,10 @@ class FabricNetwork(Platform):
                 {"tx_id": tx.tx_id},
                 exposure=Exposure.of(identities={endorser}),
             )
-        tx = tx.with_endorsements(endorsements)
-
-        # Stamp the participant list the orderer will see (paper Section 5)
-        # and re-sign over the final canonical content.
-        tx_metadata = dict(tx.metadata)
-        participants = visible_identities if not anonymous else set(endorsers)
-        tx = Transaction(**{**tx.__dict__, "metadata": {**tx_metadata, "participants": sorted(participants)}})
-        tx = tx.with_endorsements(endorsements_resign(self, tx, endorsers))
         return ProposedTransaction(
             channel_name=channel_name,
-            tx=tx,
+            contract_id=contract_id,
+            tx=tx.with_endorsements(endorsements),
             return_value=execution.return_value,
         )
 
@@ -475,24 +467,23 @@ class FabricNetwork(Platform):
                 "fabric.validate", channel=channel.name
             ) as validate_span:
                 code = ValidationCode.VALID
-                # 1. Endorsement policy of the (single committed) chaincode.
+                # 1. Endorsement policy of the chaincode that produced tx.
                 # Every live committing peer validates independently (the
                 # honest Fabric model); the signature-verification cache
-                # turns the repeats into lookups.
-                contract_id = self._contract_of(channel, tx)
-                if contract_id is not None:
-                    policy = channel.committed_definition(contract_id).policy
-                    validators = [
-                        m for m in sorted(channel.members) if m not in crashed
-                    ] or [None]
-                    try:
-                        for __ in validators:
-                            verify_endorsements(
-                                tx, policy, self.scheme,
-                                lambda n: self.parties[n].public_key,
-                            )
-                    except EndorsementError:
-                        code = ValidationCode.ENDORSEMENT_POLICY_FAILURE
+                # turns the repeats into lookups.  A chaincode id with no
+                # committed definition has no policy to satisfy.
+                validators = [
+                    m for m in sorted(channel.members) if m not in crashed
+                ] or [None]
+                try:
+                    policy = channel.committed_definition(proposal.contract_id).policy
+                    for __ in validators:
+                        verify_endorsements(
+                            tx, policy, self.scheme,
+                            lambda n: self.parties[n].public_key,
+                        )
+                except (ContractError, EndorsementError):
+                    code = ValidationCode.ENDORSEMENT_POLICY_FAILURE
                 # 2. MVCC read-set check against the evolving state.
                 if code is ValidationCode.VALID:
                     reference = channel.reference_state(skip=crashed)
@@ -512,14 +503,8 @@ class FabricNetwork(Platform):
             ):
                 if code is ValidationCode.VALID:
                     for member, state in channel.states.items():
-                        if member in crashed:
-                            continue
-                        for write in tx.writes:
-                            if write.is_delete:
-                                if state.exists(write.key):
-                                    state.delete(write.key)
-                            else:
-                                state.put(write.key, write.value)
+                        if member not in crashed:
+                            apply_writes(tx, state)
                 block_txs.append(tx)
                 channel.record_commit(tx, code is ValidationCode.VALID)
             results.append(InvokeResult(
@@ -532,15 +517,6 @@ class FabricNetwork(Platform):
         channel.chain.append(block_txs, self.clock.now)
         self.clock.advance_to(released_at)
         return results
-
-    def _contract_of(self, channel: Channel, tx: Transaction) -> str | None:
-        """Best-effort recovery of which committed chaincode produced *tx*."""
-        committed = [
-            cid for cid, d in channel.definitions.items() if d.committed
-        ]
-        if len(committed) == 1:
-            return committed[0]
-        return None
 
     # ------------------------------------------------------------------
     # Unified transaction pipeline (Platform hooks)
@@ -704,7 +680,7 @@ class FabricNetwork(Platform):
             heights[channel.name] = channel.chain.height
             snapshots[channel.name] = channel.states[name].dump()
             state_hashes[channel.name] = hash_hex(
-                "repro/recovery/fabric-state", channel.states[name].snapshot()
+                "repro/recovery/fabric-state", snapshots[channel.name]
             )
         return {
             "heights": heights,
@@ -765,14 +741,9 @@ class FabricNetwork(Platform):
                     if not (delivered and fresh):
                         continue
                     items += 1
-                    if tx.tx_id not in committed:
-                        continue  # invalid txs are on-chain but never applied
-                    for write in tx.writes:
-                        if write.is_delete:
-                            if state.exists(write.key):
-                                state.delete(write.key)
-                        else:
-                            state.put(write.key, write.value)
+                    if tx.tx_id in committed:
+                        # Invalid txs are on-chain but never applied.
+                        apply_writes(tx, state)
         self.telemetry.metrics.counter("recovery.catchup.items").inc(items)
         return {"items": items, "blocks_behind": blocks_behind}
 
@@ -952,7 +923,7 @@ class FabricNetwork(Platform):
         )
         engine.install("external-host", contract)
         result = engine.execute("external-host", "probe-external", "run",
-                                {"x": 21}, {}, {})
+                                {"x": 21}, WorldState())
         return self._result(
             Mechanism.OFF_CHAIN_EXECUTION_ENGINE,
             SupportLevel.IMPLEMENTABLE if result.return_value == 42 else SupportLevel.REWRITE,
@@ -974,7 +945,7 @@ class FabricNetwork(Platform):
             functions={"noop": noop},
         )
         engine.install("peer-tee", contract)
-        standalone = engine.execute("peer-tee", "probe-tee", "noop", {}, {}, {})
+        standalone = engine.execute("peer-tee", "probe-tee", "noop", {}, WorldState())
         endorsement_flow_integrates_tee = isinstance(self.engine, TEEEngine)
         level = (
             SupportLevel.NATIVE if endorsement_flow_integrates_tee
@@ -996,22 +967,3 @@ class FabricNetwork(Platform):
             "channel members can operate the ordering service themselves, "
             "containing its full visibility within the member set",
         )
-
-
-def endorsements_resign(
-    network: FabricNetwork, tx: Transaction, endorsers: list[str]
-) -> list[Endorsement]:
-    """Re-sign a transaction whose metadata changed after endorsement.
-
-    Fabric's real flow signs the proposal response payload; our simplified
-    model re-signs the final canonical content so validation stays honest.
-    """
-    return [
-        Endorsement(
-            endorser=endorser,
-            signature=network.scheme.sign(
-                network.parties[endorser].key, tx.signing_bytes()
-            ),
-        )
-        for endorser in endorsers
-    ]

@@ -36,7 +36,8 @@ from repro.execution.contracts import SmartContract, StateView
 from repro.ledger.block import Chain
 from repro.ledger.ordering import OrdererVisibility, OrderingService
 from repro.ledger.state import WorldState
-from repro.ledger.transaction import Transaction, WriteEntry
+from repro.ledger.transaction import Transaction, WriteEntry, write_set
+from repro.ledger.validation import apply_write_set, apply_writes
 from repro.network.messages import Exposure
 from repro.platforms.base import (
     Platform,
@@ -154,12 +155,19 @@ class QuorumNetwork(Platform):
 
         Private deployment distributes the code only to ``private_for``
         (plus the deployer); other nodes never see the bytecode — Quorum's
-        native 'install on involved nodes' equivalent.
+        native 'install on involved nodes' equivalent.  A contract id is
+        deployed once, like an EVM contract address, so the nodes hosting
+        a contract never shrink and replaying a private transaction finds
+        the code on every participant that applied it.
         """
         if deployer not in self.parties:
             raise MembershipError(f"{deployer!r} is not onboarded")
         if contract.language != "evm-solidity":
             raise ContractError("Quorum contracts must target the EVM")
+        if contract.contract_id in self.contracts:
+            raise ContractError(
+                f"contract {contract.contract_id!r} is already deployed"
+            )
         self.contracts[contract.contract_id] = contract
         if private_for is None:
             self.contract_hosts[contract.contract_id] = set(self.parties)
@@ -241,15 +249,9 @@ class QuorumNetwork(Platform):
         contract = self.contracts[contract_id]
         if node not in self.contract_hosts[contract_id]:
             raise PrivacyError(f"{node!r} has no code for {contract_id!r}")
-        view = StateView(
-            state.snapshot(), {k: state.version(k) for k in state.keys()}
-        )
+        view = StateView(state)
         value = contract.invoke(function, view, args)
-        for key, val in view.writes.items():
-            state.put(key, val)
-        for key in view.deletes:
-            if state.exists(key):
-                state.delete(key)
+        apply_write_set(write_set(view.writes, view.deletes), state)
         return value, view
 
     def send_public_transaction(
@@ -564,26 +566,19 @@ class QuorumNetwork(Platform):
         return False
 
     def _checkpoint_data(self, name: str) -> dict:
+        public = self.public_states[name].dump()
+        private = self.private_states[name].dump()
         return {
             "heights": {"public": self._applied_upto.get(name, 0)},
             "state_hashes": {
-                "public": hash_hex(
-                    "repro/recovery/quorum-public",
-                    self.public_states[name].snapshot(),
-                ),
-                "private": hash_hex(
-                    "repro/recovery/quorum-private",
-                    self.private_states[name].snapshot(),
-                ),
+                "public": hash_hex("repro/recovery/quorum-public", public),
+                "private": hash_hex("repro/recovery/quorum-private", private),
             },
             "pending": {
                 "payload_hashes": self.managers[name].payload_hashes(),
                 "applied_private": sorted(self._applied_private.get(name, ())),
             },
-            "snapshots": {
-                "public": self.public_states[name].dump(),
-                "private": self.private_states[name].dump(),
-            },
+            "snapshots": {"public": public, "private": private},
         }
 
     def _drop_volatile(self, name: str) -> None:
@@ -663,12 +658,7 @@ class QuorumNetwork(Platform):
                             "quorum", "public", name, block.height
                         ),
                     )
-                    for write in tx.writes:
-                        if write.is_delete:
-                            if state.exists(write.key):
-                                state.delete(write.key)
-                        else:
-                            state.put(write.key, write.value)
+                    apply_writes(tx, state)
                     items += 1
                 elif kind == "private":
                     ship(
@@ -790,17 +780,13 @@ class QuorumNetwork(Platform):
                 continue
             payload_hash = tx.private_hashes["payload"]
             resolved = manager.resolve(payload_hash)  # raises if deleted
-            contract = self.contracts[resolved["contract"]]
-            view = StateView(
-                rebuilt.snapshot(),
-                {k: rebuilt.version(k) for k in rebuilt.keys()},
+            self._execute(
+                node,
+                resolved["contract"],
+                resolved["function"],
+                resolved["args"],
+                rebuilt,
             )
-            contract.invoke(resolved["function"], view, resolved["args"])
-            for key, value in view.writes.items():
-                rebuilt.put(key, value)
-            for key in view.deletes:
-                if rebuilt.exists(key):
-                    rebuilt.delete(key)
         return rebuilt
 
     def verify_private_state(self, node: str) -> bool:

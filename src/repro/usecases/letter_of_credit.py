@@ -30,6 +30,7 @@ from repro.core.requirements import (
     UseCaseRequirements,
 )
 from repro.execution.contracts import SmartContract, StateView
+from repro.ledger.state import WorldState
 from repro.offchain.stores import Hosting, OffChainStore
 from repro.platforms.base import Platform, TxRequest
 from repro.platforms.corda import Command, ContractState
@@ -266,10 +267,11 @@ class LetterOfCreditWorkflow:
         tip state, and its writes become the output state."""
         loc_id = request.args["loc_id"]
         tip = self._tips.get(loc_id) if request.function == "advance" else None
-        backing = {}
+        state = WorldState()
         if tip is not None:
-            backing[f"loc/{loc_id}"] = net.vault(request.submitter).state_at(tip).data
-        view = StateView(backing, {})
+            tip_data = net.vault(request.submitter).state_at(tip).data
+            state.put(f"loc/{loc_id}", tip_data)
+        view = StateView(state)
         self.contract.invoke(request.function, view, dict(request.args))
         parties = {request.submitter, *request.private_for}
         participants = tuple(p for p in PARTIES if p in parties)

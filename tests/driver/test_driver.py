@@ -13,6 +13,7 @@ from repro.driver import (
     loc_scenario,
     trade_scenario,
 )
+from repro.ledger.state import WorldState
 from repro.platforms.base import TxRequest
 
 
@@ -140,3 +141,22 @@ class TestScenarios:
 
     def test_bench_orgs_cover_the_audit_cast(self):
         assert set(("OrgA", "OrgB", "OrgC", "OrgD", "OrgE")) == set(BENCH_ORGS)
+
+    @pytest.mark.parametrize("platform_name", ("fabric", "quorum"))
+    def test_execution_never_copies_world_state(
+        self, monkeypatch, platform_name
+    ):
+        """Contracts read the live replica through a view: per-tx cost must
+        not include copying a state that grows with the ledger."""
+        scenario = trade_scenario(platform_name, 12, seed="no-copy")
+        calls = []
+        original = WorldState.snapshot
+
+        def counting_snapshot(state):
+            calls.append(len(state))
+            return original(state)
+
+        monkeypatch.setattr(WorldState, "snapshot", counting_snapshot)
+        receipts = scenario.platform.submit_many(scenario.requests)
+        assert all(receipt.committed for receipt in receipts)
+        assert calls == []

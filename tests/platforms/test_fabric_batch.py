@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import PlatformError
+from repro.crypto.signatures import Signature
 from repro.execution.contracts import SmartContract
+from repro.ledger.transaction import Endorsement
 from repro.platforms.fabric import FabricNetwork, ValidationCode
 
 
@@ -108,3 +112,44 @@ class TestMVCCConflicts:
         b = net.propose("ch", "Org2", "cc", "put", {"key": "y", "value": 2})
         results = net.submit_batch("ch", [a, b])
         assert all(r.valid for r in results)
+
+
+class TestEndorsementPolicyAtCommit:
+    @pytest.mark.parametrize("chaincodes", [1, 2])
+    def test_forged_endorsements_fail_policy(self, net, chaincodes):
+        """Commit checks the policy of the chaincode that produced the tx,
+        however many chaincodes the channel has committed."""
+        if chaincodes == 2:
+            other = SmartContract(
+                "cc-other", 1, "python-chaincode",
+                {"noop": lambda view, args: None},
+            )
+            net.deploy_chaincode("ch", other, ["Org1", "Org2"])
+        proposal = net.propose("ch", "Org1", "cc", "put", {"key": "k", "value": 1})
+        forged = proposal.tx.with_endorsements([
+            Endorsement(endorser=e.endorser, signature=Signature(1, 1))
+            for e in proposal.tx.endorsements
+        ])
+        results = net.submit_batch("ch", [replace(proposal, tx=forged)])
+        assert results[0].validation_code is ValidationCode.ENDORSEMENT_POLICY_FAILURE
+        assert not net.channel("ch").reference_state().exists("k")
+
+    def test_uncommitted_chaincode_id_fails_policy_in_block(self, net):
+        """A proposal naming a chaincode the channel never committed is
+        marked invalid in its block; the rest of the block still commits
+        and lands on the chain."""
+        first = net.propose("ch", "Org1", "cc", "put", {"key": "a", "value": 1})
+        bogus = net.propose("ch", "Org1", "cc", "put", {"key": "b", "value": 2})
+        last = net.propose("ch", "Org1", "cc", "put", {"key": "c", "value": 3})
+        height = len(net.channel("ch").chain.transactions())
+        results = net.submit_batch(
+            "ch", [first, replace(bogus, contract_id="cc-missing"), last]
+        )
+        assert [r.validation_code for r in results] == [
+            ValidationCode.VALID,
+            ValidationCode.ENDORSEMENT_POLICY_FAILURE,
+            ValidationCode.VALID,
+        ]
+        channel = net.channel("ch")
+        assert len(channel.chain.transactions()) == height + 3
+        assert channel.reference_state().snapshot() == {"a": 1, "c": 3}

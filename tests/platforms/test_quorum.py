@@ -57,6 +57,18 @@ class TestDeployment:
         with pytest.raises(MembershipError):
             net.deploy_contract("Ghost", store_cc("z"))
 
+    def test_redeploy_under_same_id_rejected(self, net):
+        """Hosts never shrink, so private-state replay keeps its code."""
+        net.deploy_contract("N1", store_cc("private-cc"), private_for=["N2"])
+        net.send_private_transaction(
+            "N1", "private-cc", "put", {"key": "k", "value": 1},
+            private_for=["N2"],
+        )
+        with pytest.raises(ContractError, match="already deployed"):
+            net.deploy_contract("N1", store_cc("private-cc"), private_for=[])
+        assert net.code_visible_to("private-cc") == {"N1", "N2"}
+        assert net.verify_private_state("N2")
+
 
 class TestPublicTransactions:
     def test_public_state_replicated_everywhere(self, net):
