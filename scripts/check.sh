@@ -36,19 +36,17 @@ python -m repro lint --strict src/repro/driver
 
 echo
 echo "== cross-process determinism gate (fingerprints + telemetry under 3 hash seeds) =="
-reference=""
+# Every hash seed must print exactly scripts/fingerprints.expected: the same
+# digests as each other, and the same as the committed reference.
 for hashseed in 0 1 12345; do
     digests=$(PYTHONHASHSEED=$hashseed python scripts/fingerprints.py)
-    if [ -z "$reference" ]; then
-        reference=$digests
-        echo "$digests"
-    elif [ "$digests" != "$reference" ]; then
-        echo "PYTHONHASHSEED=$hashseed changed the digests:"
-        diff <(echo "$reference") <(echo "$digests") || true
+    if ! diff scripts/fingerprints.expected <(echo "$digests"); then
+        echo "PYTHONHASHSEED=$hashseed digests differ from scripts/fingerprints.expected"
         exit 1
     fi
 done
-echo "identical under PYTHONHASHSEED 0, 1 and 12345"
+cat scripts/fingerprints.expected
+echo "identical to scripts/fingerprints.expected under PYTHONHASHSEED 0, 1 and 12345"
 
 echo
 echo "== strict self-lint (src/repro + examples) =="

@@ -7,7 +7,9 @@ with a fixed seed, then one line is printed with the platform's
 
 Two runs of this program must print the same lines whatever the
 interpreter's ``PYTHONHASHSEED``; ``scripts/check.sh`` runs it under
-several hash seeds and compares the output.
+several hash seeds and diffs each output against the committed
+``scripts/fingerprints.expected``.  A change that means to alter these
+digests must regenerate that file and say why.
 
 Usage: PYTHONPATH=src python scripts/fingerprints.py
 """

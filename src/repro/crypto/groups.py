@@ -80,12 +80,10 @@ class SchnorrGroup:
 
     def hash_to_scalar(self, tag: str, data: bytes) -> int:
         """Map arbitrary data to a challenge scalar in [0, q)."""
-        counter = 0
-        while True:
-            digest = tagged_hash(tag, counter.to_bytes(4, "big") + data)
-            candidate = int.from_bytes(digest + tagged_hash(tag + "/ext", digest), "big")
-            candidate %= 1 << (self.q.bit_length() + 64)
-            return candidate % self.q
+        digest = tagged_hash(tag, bytes(4) + data)
+        candidate = int.from_bytes(digest + tagged_hash(tag + "/ext", digest), "big")
+        candidate %= 1 << (self.q.bit_length() + 64)
+        return candidate % self.q
 
     def hash_to_element(self, tag: str, data: bytes) -> int:
         """Map arbitrary data to a subgroup element with unknown dlog."""
@@ -103,7 +101,13 @@ class SchnorrGroup:
 
 
 def _is_probable_prime(n: int, rounds: int = 40) -> bool:
-    """Miller-Rabin primality test with deterministic witnesses first."""
+    """Miller-Rabin primality test.
+
+    After trial division by the twelve primes up to 37, runs *rounds*
+    rounds whose witnesses are pseudo-random draws from a
+    :class:`DeterministicRNG` seeded with *n*, so the verdict for a given
+    *n* never varies between runs.
+    """
     if n < 2:
         return False
     small_primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
@@ -128,6 +132,35 @@ def _is_probable_prime(n: int, rounds: int = 40) -> bool:
         else:
             return False
     return True
+
+
+#: Trial-division bound for the safe-prime search: candidates with a prime
+#: factor below it are discarded before any Miller-Rabin round.
+_SIEVE_BOUND = 2000
+
+
+def _odd_primes_below(bound: int) -> list[int]:
+    """The odd primes below *bound* (sieve of Eratosthenes)."""
+    composite = bytearray(bound)
+    for i in range(3, int(bound ** 0.5) + 1, 2):
+        if not composite[i]:
+            multiples = range(i * i, bound, 2 * i)
+            composite[i * i :: 2 * i] = b"\x01" * len(multiples)
+    return [i for i in range(3, bound, 2) if not composite[i]]
+
+
+def _sieve_rejects_safe_prime(q: int, primes: list[int]) -> bool:
+    """True if a prime in *primes* divides ``q`` or ``p = 2q + 1``.
+
+    For ``q`` above every prime in *primes* that means ``q`` or ``p`` is
+    composite, so ``(q, p)`` cannot be a safe-prime pair.  ``r`` divides
+    ``2q + 1`` exactly when ``q = (r - 1) / 2 (mod r)``.
+    """
+    for r in primes:
+        residue = q % r
+        if residue == 0 or residue == r >> 1:
+            return True
+    return False
 
 
 def _derive_generators(p: int, q: int) -> tuple[int, int]:
@@ -158,14 +191,18 @@ def small_group(bits: int = 160, seed: str = "repro-test-group") -> SchnorrGroup
     """Generate a small safe-prime group for fast tests.
 
     Deterministic for a given (bits, seed), so test vectors are stable.
+    Candidates that trial division by :data:`_SIEVE_BOUND` shows to be
+    unsafe are skipped before Miller-Rabin; that discards only composites,
+    so the first safe prime of the candidate stream is still the one found.
     """
     if bits < 32:
         raise ValueError("group too small to be meaningful")
     rng = DeterministicRNG(seed)
+    sieve = _odd_primes_below(_SIEVE_BOUND)
     while True:
         q = (1 << (bits - 1)) | int.from_bytes(rng.randbytes((bits + 7) // 8), "big") % (1 << (bits - 1))
         q |= 1
-        if not _is_probable_prime(q, rounds=20):
+        if _sieve_rejects_safe_prime(q, sieve) or not _is_probable_prime(q, rounds=20):
             continue
         p = 2 * q + 1
         if _is_probable_prime(p, rounds=20):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +40,39 @@ class TestDeterminism:
     def test_forks_with_different_labels_differ(self):
         rng = DeterministicRNG("seed")
         assert rng.fork("a").randbytes(16) != rng.fork("b").randbytes(16)
+
+
+def reference_seed(seed: str, forks: list[str]) -> bytes:
+    """The block seed by its definition, following each fork label."""
+    derived = hashlib.sha256(b"repro-rng:" + seed.encode()).digest()
+    for label in forks:
+        derived = hashlib.sha256(
+            b"repro-rng:" + derived + b"|fork|" + label.encode()
+        ).digest()
+    return derived
+
+
+def reference_randbytes(seed: bytes, counter: int, n: int) -> tuple[bytes, int]:
+    """The stream by its definition: sha256(seed + 16-byte counter) blocks."""
+    out = b""
+    while len(out) < n:
+        out += hashlib.sha256(seed + counter.to_bytes(16, "big")).digest()
+        counter += 1
+    return out[:n], counter
+
+
+class TestStreamDefinition:
+    SIZES = (0, 1, 31, 32, 33, 64, 100)
+
+    @pytest.mark.parametrize("forks", [[], ["child"], ["child", "grandchild"]])
+    def test_randbytes_matches_counter_mode_formula(self, forks):
+        rng = DeterministicRNG("stream")
+        for label in forks:
+            rng = rng.fork(label)
+        seed, counter = reference_seed("stream", forks), 0
+        for n in self.SIZES * 2:
+            expected, counter = reference_randbytes(seed, counter, n)
+            assert rng.randbytes(n) == expected  # n == 0 must consume no block
 
 
 class TestDistributions:

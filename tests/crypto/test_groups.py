@@ -3,13 +3,36 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.rng import DeterministicRNG
+from repro.crypto import groups
 from repro.crypto.groups import (
+    _SIEVE_BOUND,
     SchnorrGroup,
     _is_probable_prime,
+    _odd_primes_below,
+    _sieve_rejects_safe_prime,
     cached_test_group,
     small_group,
+)
+
+# (p, q, g, h) of the generated groups.  Every signature, commitment and
+# proof in the repo is computed in the default one.  State fingerprints and
+# telemetry digests do not depend on it, so these pins are what catch a
+# search that finds a different group.
+DEFAULT_GROUP = (
+    2400465704108036344654058020358994631100991999239,
+    1200232852054018172327029010179497315550495999619,
+    1156563455654801939815456330213194182507022940457,
+    439166164017136398305530523517724815014493081309,
+)
+GROUP_64_X = (
+    30463914633472749707,
+    15231957316736374853,
+    27506158916442037416,
+    26254037380947532944,
 )
 
 
@@ -25,6 +48,29 @@ class TestPrimality:
     def test_carmichael_numbers_rejected(self):
         for n in (561, 1105, 1729, 2465, 2821, 6601):
             assert not _is_probable_prime(n)
+
+
+class TestSieve:
+    SIEVE = _odd_primes_below(_SIEVE_BOUND)
+
+    def test_odd_primes_below(self):
+        assert _odd_primes_below(30) == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert _odd_primes_below(3) == []
+        assert self.SIEVE == [n for n in range(3, _SIEVE_BOUND, 2) if _is_probable_prime(n)]
+
+    @given(st.integers(min_value=_SIEVE_BOUND // 2, max_value=1 << 192))
+    def test_rejects_exactly_when_a_sieve_prime_divides_q_or_p(self, half):
+        q = 2 * half + 1
+        divides = any(q % r == 0 or (2 * q + 1) % r == 0 for r in self.SIEVE)
+        assert _sieve_rejects_safe_prime(q, self.SIEVE) == divides
+
+    @pytest.mark.parametrize(
+        "q",
+        [DEFAULT_GROUP[1], GROUP_64_X[1], (groups._RFC3526_1536_P - 1) // 2],
+    )
+    def test_never_rejects_a_safe_prime_pair(self, q):
+        assert _is_probable_prime(q) and _is_probable_prime(2 * q + 1)
+        assert not _sieve_rejects_safe_prime(q, self.SIEVE)
 
 
 class TestGroupStructure:
@@ -85,6 +131,29 @@ class TestGroupOps:
 
 
 class TestGroupGeneration:
+    def test_default_group_is_pinned(self):
+        group = small_group()
+        assert (group.p, group.q, group.g, group.h) == DEFAULT_GROUP
+
+    def test_cached_test_group_is_the_default_group(self):
+        group = cached_test_group()
+        assert (group.p, group.q, group.g, group.h) == DEFAULT_GROUP
+
+    def test_64_bit_group_is_pinned(self):
+        group = small_group(bits=64, seed="x")
+        assert (group.p, group.q, group.g, group.h) == GROUP_64_X
+
+    def test_search_runs_few_miller_rabin_tests(self, monkeypatch):
+        calls = []
+
+        def counting(n, rounds=40):
+            calls.append(n)
+            return _is_probable_prime(n, rounds)
+
+        monkeypatch.setattr(groups, "_is_probable_prime", counting)
+        small_group()
+        assert len(calls) <= 100  # 4547 without the sieve
+
     def test_small_group_deterministic(self):
         a = small_group(bits=64, seed="x")
         b = small_group(bits=64, seed="x")

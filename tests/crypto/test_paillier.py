@@ -21,6 +21,23 @@ def keys(paillier):
     return paillier.keygen(DeterministicRNG("paillier-test"))
 
 
+class TestKeygen:
+    def test_keypair_from_fixed_seed_is_pinned(self, paillier):
+        key = paillier.keygen(DeterministicRNG("paillier-pin"))
+        assert key.public.n == int(
+            "508137097875017574769794371967669194182788311728690150642816"
+            "46492921272763009"
+        )
+        assert key.lam == int(
+            "254068548937508787384897185983834597089139901317553298942032"
+            "65670538595530858"
+        )
+        assert key.mu == int(
+            "214012473967734694825694760388339701088489439506172962732891"
+            "73548585330367333"
+        )
+
+
 class TestEncryptDecrypt:
     def test_round_trip(self, paillier, keys):
         rng = DeterministicRNG("enc")
