@@ -115,14 +115,14 @@ def test_empty_fault_plan_changes_nothing():
     """
     plain = fresh_net("fi1-parity")
     planned = fresh_net("fi1-parity", fault_plan=FaultPlan())
-    for net in (plain, planned):
+    plain_arrivals, planned_arrivals = [], []
+    for net, arrivals in ((plain, plain_arrivals), (planned, planned_arrivals)):
+        net.node("B").on("data", lambda m, seen=arrivals: seen.append(m.payload["n"]))
         for n in range(50):
             net.send("A", "B", "data", {"n": n})
         net.run()
     assert plain.clock.now == planned.clock.now
     assert plain.stats == planned.stats
-    plain_arrivals = [m.payload["n"] for m in plain.node("B").inbox]
-    planned_arrivals = [m.payload["n"] for m in planned.node("B").inbox]
     assert plain_arrivals == planned_arrivals
 
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo health gate: tier-1 tests, the chaos suite, the cross-process
-# determinism gate, then the strict self-lint.
+# Repo health gate: tier-1 tests, the chaos suite, the wall-clock
+# benchmark's own tests, the cross-process determinism gate, then the
+# strict self-lint.
 #
 # Usage: scripts/check.sh [extra pytest args]
 set -euo pipefail
@@ -33,6 +34,10 @@ python -m repro bench --platform fabric --workload loc --ops 10 --batch 25 > /de
 python -m repro bench --platform corda --workload trades --ops 8 --json > /dev/null
 python -m repro bench --platform quorum --workload kv --ops 10 --batch 5 > /dev/null
 python -m repro lint --strict src/repro/driver
+
+echo
+echo "== wall-clock benchmark tests (layer targets still exist in src/) =="
+python -m pytest -x -q perfbench/tests
 
 echo
 echo "== cross-process determinism gate (fingerprints + telemetry under 3 hash seeds) =="

@@ -21,31 +21,8 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules import RULES
+from repro.analysis.rules import finding
 from repro.analysis.scopes import ModuleIndex, call_name
-
-
-def _report(
-    index: ModuleIndex,
-    findings: list[Finding],
-    rule_id: str,
-    node: ast.AST,
-    detail: str,
-) -> None:
-    rule = RULES[rule_id]
-    findings.append(
-        Finding(
-            rule_id=rule.rule_id,
-            code=rule.code,
-            severity=rule.severity,
-            path=index.path,
-            line=getattr(node, "lineno", 0),
-            col=getattr(node, "col_offset", 0),
-            message=f"{rule.summary}: {detail}",
-            hint=rule.hint,
-            context=index.context_of(node),
-        )
-    )
 
 
 def run_boundary_pass(index: ModuleIndex) -> list[Finding]:
@@ -55,40 +32,40 @@ def run_boundary_pass(index: ModuleIndex) -> list[Finding]:
             continue
         name = call_name(node)
         if name == "send_private_transaction":
-            _report(
-                index, findings, "quorum-participant-broadcast", node,
+            findings.append(finding(
+                "quorum-participant-broadcast", index, node,
                 "the private_for list travels in the clear on the public "
                 "chain",
-            )
+            ))
         elif name == "create_collection":
-            _report(
-                index, findings, "pdc-member-disclosure", node,
+            findings.append(finding(
+                "pdc-member-disclosure", index, node,
                 "collection membership appears in every referencing "
                 "transaction's metadata",
-            )
+            ))
         for kw in node.keywords:
             if kw.arg == "collection_writes" and not (
                 isinstance(kw.value, ast.Constant) and kw.value.value is None
             ):
-                _report(
-                    index, findings, "pdc-member-disclosure", node,
+                findings.append(finding(
+                    "pdc-member-disclosure", index, node,
                     "collection_writes anchors hashes on-chain and lists "
                     "collection members in the transaction",
-                )
+                ))
             elif kw.arg == "validating_notary" and (
                 isinstance(kw.value, ast.Constant) and kw.value.value is True
             ):
-                _report(
-                    index, findings, "ordering-full-visibility", node,
+                findings.append(finding(
+                    "ordering-full-visibility", index, node,
                     "validating_notary=True gives the notary full "
                     "transaction contents",
-                )
+                ))
             elif kw.arg == "visibility" and (
                 isinstance(kw.value, ast.Attribute) and kw.value.attr == "FULL"
             ):
-                _report(
-                    index, findings, "ordering-full-visibility", node,
+                findings.append(finding(
+                    "ordering-full-visibility", index, node,
                     "OrdererVisibility.FULL exposes submitted transactions "
                     "to the ordering operator",
-                )
+                ))
     return findings

@@ -14,9 +14,11 @@ the fixture corpus all key on them.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 
-from repro.analysis.findings import Severity
+from repro.analysis.findings import Finding, Severity
+from repro.analysis.scopes import ModuleIndex
 
 
 @dataclass(frozen=True)
@@ -186,3 +188,19 @@ def rule(rule_id: str) -> Rule:
     if rule_id in RULES_BY_CODE:
         return RULES_BY_CODE[rule_id]
     raise KeyError(f"unknown rule {rule_id!r}")
+
+
+def finding(rule_id: str, index: ModuleIndex, node: ast.AST, detail: str) -> Finding:
+    """The finding of rule *rule_id* at *node* in the module *index*."""
+    rule = RULES[rule_id]
+    return Finding(
+        rule_id=rule.rule_id,
+        code=rule.code,
+        severity=rule.severity,
+        path=index.path,
+        line=getattr(node, "lineno", 0),
+        col=getattr(node, "col_offset", 0),
+        message=f"{rule.summary}: {detail}",
+        hint=rule.hint,
+        context=index.context_of(node),
+    )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules import RULES
+from repro.analysis.rules import finding
 from repro.analysis.scopes import ModuleIndex, call_name, receiver_name
 
 #: Name fragments that mark a value as confidential by convention.
@@ -177,20 +177,7 @@ class _ScopeTaint:
     # -- findings ------------------------------------------------------
 
     def _report(self, rule_id: str, node: ast.AST, detail: str) -> None:
-        rule = RULES[rule_id]
-        self.findings.append(
-            Finding(
-                rule_id=rule.rule_id,
-                code=rule.code,
-                severity=rule.severity,
-                path=self.index.path,
-                line=getattr(node, "lineno", 0),
-                col=getattr(node, "col_offset", 0),
-                message=f"{rule.summary}: {detail}",
-                hint=rule.hint,
-                context=self.index.context_of(node),
-            )
-        )
+        self.findings.append(finding(rule_id, self.index, node, detail))
 
     def _check_call(self, call: ast.Call) -> None:
         name = call_name(call)

@@ -2,7 +2,8 @@
 
 The substrate every platform simulation runs on.  Provides:
 
-- registered nodes with inboxes and message handlers,
+- registered nodes with message handlers; each node's :class:`Observer`
+  is the one record of what it received,
 - point-to-point sends and broadcasts with configurable latency models,
 - message loss, network partitions, and scheduled fault plans
   (:class:`repro.faults.FaultPlan`) consulted at both send *and* delivery
@@ -86,14 +87,18 @@ class NetworkStats:
         self._metrics = metrics or MetricsRegistry()
 
     def __getattr__(self, name: str) -> int:
-        try:
-            metric = self.FIELDS[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        return int(self._metrics.counter(metric).value)
+        if name not in self.FIELDS:
+            raise AttributeError(name)
+        return self.as_dict()[name]
 
     def as_dict(self) -> dict[str, int]:
-        return {field_name: getattr(self, field_name) for field_name in self.FIELDS}
+        # Read the snapshot, not ``counter()``: that would create missing
+        # counters and so change the telemetry stream being observed.
+        counters = self._metrics.snapshot()["counters"]
+        return {
+            field_name: int(counters.get(metric, 0))
+            for field_name, metric in self.FIELDS.items()
+        }
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NetworkStats):
@@ -111,8 +116,7 @@ class DeliveryReceipt:
 
     message: Message
     attempts: int
-    delivered: bool
-    delivered_at: float | None = None
+    delivered_at: float
 
 
 class Observer:
@@ -151,16 +155,15 @@ class Observer:
 
 
 class Node:
-    """A network endpoint with an inbox and optional message handlers.
+    """A network endpoint with optional message handlers.
 
     Each node is also an :class:`Observer` of its own inbound traffic, so
     "what did this peer learn" falls out of the same accounting as the
-    passive taps.
+    passive taps.  The observer is the only record of a delivery.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.inbox: list[Message] = []
         self.observer = Observer(name)
         self.seen_dedup_keys: set[str] = set()
         self._handlers: dict[str, Callable[[Message], None]] = {}
@@ -172,27 +175,17 @@ class Node:
     def has_applied(self, dedup_key: str) -> bool:
         """Whether a message carrying *dedup_key* was already applied.
 
-        The set is volatile — a crash wipes it along with the inbox —
+        The set is volatile — a crash wipes it —
         which is exactly why recovery re-applies from a durable
         checkpoint instead of trusting in-memory dedup state.
         """
         return dedup_key in self.seen_dedup_keys
 
     def deliver(self, message: Message) -> None:
-        self.inbox.append(message)
         self.observer.observe(message)
         handler = self._handlers.get(message.kind)
         if handler is not None:
             handler(message)
-
-    def drain(self, kind: str | None = None) -> list[Message]:
-        """Remove and return inbox messages (optionally of one kind)."""
-        if kind is None:
-            out, self.inbox = self.inbox, []
-            return out
-        matched = [m for m in self.inbox if m.kind == kind]
-        self.inbox = [m for m in self.inbox if m.kind != kind]
-        return matched
 
 
 @dataclass(order=True)
@@ -232,7 +225,10 @@ class SimNetwork:
         self._queue: list[_ScheduledDelivery] = []
         self._order = itertools.count()
         self._partitions: set[frozenset[str]] = set()
-        self._delivered_at: dict[int, float] = {}
+        # Message id -> delivery time (None until delivered) for the copies
+        # of the ``send_with_retry`` exchanges in progress; each exchange
+        # drops its own ids when it ends.
+        self._awaiting_ack: dict[int, float | None] = {}
         self._down: set[str] = set()
         self._dedup_sequence = itertools.count(1)
 
@@ -308,14 +304,14 @@ class SimNetwork:
         Unlike a fault-plan crash window this is explicit and open-ended:
         the recovery subsystem uses it to model a node that stays dead
         until someone brings it back.  Volatile per-node state — the
-        inbox and the dedup-key set — is lost, exactly like process
-        memory on a real crash.
+        dedup-key set — is lost, exactly like process memory on a real
+        crash.  What the node already observed stays in its
+        :class:`Observer`: a crash does not unlearn it.
         """
         node = self.node(name)
         if name in self._down:
             return
         self._down.add(name)
-        node.inbox.clear()
         node.seen_dedup_keys.clear()
         self.telemetry.events.emit("net.node_crashed", node=name)
 
@@ -467,10 +463,6 @@ class SimNetwork:
 
     # -- resilient delivery
 
-    def was_delivered(self, message: Message) -> bool:
-        """Ack tracking: whether *message* reached its recipient."""
-        return message.message_id in self._delivered_at
-
     def send_with_retry(
         self,
         sender: str,
@@ -499,6 +491,9 @@ class SimNetwork:
         allocated per logical exchange), so a slow first copy arriving
         after a retransmission is applied at most once.  The ack check
         spans *all* attempts: any copy landing acknowledges the exchange.
+        Acks are tracked by message id and only while the exchange runs,
+        so a late copy from an earlier exchange with the same dedup key
+        never acknowledges this one, and nothing is kept once it ends.
 
         The whole exchange runs inside one span: every retry lands as a
         span event, the final attempt count and outcome are attributes,
@@ -524,24 +519,24 @@ class SimNetwork:
 
             def acked() -> Message | None:
                 for copy in copies:
-                    if copy.message_id in self._delivered_at:
+                    if self._awaiting_ack[copy.message_id] is not None:
                         return copy
                 return None
 
-            for attempt in range(1, max_attempts + 1):
-                if attempt > 1:
-                    self._count("net.retries")
-                    tracer.add_event(span, "retry", attempt=attempt)
-                    self.telemetry.events.emit(
-                        "net.retry",
-                        kind=kind,
-                        sender=sender,
-                        recipient=recipient,
-                        attempt=attempt,
-                    )
-                try:
-                    copies.append(
-                        self.send(
+            try:
+                for attempt in range(1, max_attempts + 1):
+                    if attempt > 1:
+                        self._count("net.retries")
+                        tracer.add_event(span, "retry", attempt=attempt)
+                        self.telemetry.events.emit(
+                            "net.retry",
+                            kind=kind,
+                            sender=sender,
+                            recipient=recipient,
+                            attempt=attempt,
+                        )
+                    try:
+                        copy = self.send(
                             sender,
                             recipient,
                             kind,
@@ -549,31 +544,34 @@ class SimNetwork:
                             exposure=exposure,
                             dedup_key=dedup_key,
                         )
-                    )
-                except DeliveryError as refusal:
-                    last_refusal = refusal
-                    tracer.add_event(span, "refused", attempt=attempt)
-                deadline = self.clock.now + wait
-                if copies:
-                    while (
-                        self._queue
-                        and self._queue[0].due <= deadline
-                        and acked() is None
-                    ):
-                        self.step()
-                    delivered = acked()
-                    if delivered is not None:
-                        tracer.set_attribute(span, "attempts", attempt)
-                        tracer.set_attribute(span, "outcome", "delivered")
-                        return DeliveryReceipt(
-                            message=delivered,
-                            attempts=attempt,
-                            delivered=True,
-                            delivered_at=self._delivered_at[delivered.message_id],
-                        )
-                # Wait out the ack timeout before the next attempt.
-                self.clock.advance_to(deadline)
-                wait *= backoff
+                        self._awaiting_ack[copy.message_id] = None
+                        copies.append(copy)
+                    except DeliveryError as refusal:
+                        last_refusal = refusal
+                        tracer.add_event(span, "refused", attempt=attempt)
+                    deadline = self.clock.now + wait
+                    if copies:
+                        while (
+                            self._queue
+                            and self._queue[0].due <= deadline
+                            and acked() is None
+                        ):
+                            self.step()
+                        delivered = acked()
+                        if delivered is not None:
+                            tracer.set_attribute(span, "attempts", attempt)
+                            tracer.set_attribute(span, "outcome", "delivered")
+                            return DeliveryReceipt(
+                                message=delivered,
+                                attempts=attempt,
+                                delivered_at=self._awaiting_ack[delivered.message_id],
+                            )
+                    # Wait out the ack timeout before the next attempt.
+                    self.clock.advance_to(deadline)
+                    wait *= backoff
+            finally:
+                for copy in copies:
+                    del self._awaiting_ack[copy.message_id]
             tracer.set_attribute(span, "attempts", max_attempts)
             tracer.set_attribute(span, "outcome", "DeliveryTimeout")
             detail = f" (last refusal: {last_refusal})" if last_refusal else ""
@@ -621,7 +619,8 @@ class SimNetwork:
                 recipient=message.recipient,
                 size_bytes=message.size_bytes,
             )
-        self._delivered_at[message.message_id] = event.due
+        if message.message_id in self._awaiting_ack:
+            self._awaiting_ack[message.message_id] = event.due
         node = self._nodes[message.recipient]
         if message.dedup_key is not None:
             if message.dedup_key in node.seen_dedup_keys:

@@ -658,7 +658,7 @@ class FabricNetwork(Platform):
     #
     # Durable per peer: the chain (append-only, shared), PDC stores
     # (off-chain storage services), and checkpoints.  Volatile: the
-    # world-state replica and the network node's inbox/dedup memory.
+    # world-state replica and the network node's dedup memory.
     # Catch-up ships per-channel blocks only — Fabric's visibility rule:
     # a rejoining member receives its channels' transactions, with PDC
     # values reduced to their on-chain anchors (``tx.private_hashes``),

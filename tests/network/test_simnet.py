@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -9,7 +12,7 @@ from repro.common.errors import DeliveryError, DeliveryTimeout
 from repro.common.rng import DeterministicRNG
 from repro.faults.plan import FaultPlan
 from repro.network.messages import Exposure
-from repro.network.simnet import LatencyModel, Observer, SimNetwork
+from repro.network.simnet import LatencyModel, NetworkStats, Observer, SimNetwork
 
 
 @pytest.fixture
@@ -20,26 +23,39 @@ def net():
     return network
 
 
+def collect(node, *kinds):
+    """Record each message of *kinds* delivered to *node*, in arrival order."""
+    received = []
+    for kind in kinds:
+        node.on(kind, received.append)
+    return received
+
+
+def arrivals(net, name):
+    """How many messages *name* has received (its observer counts each)."""
+    return net.node(name).observer.messages_observed
+
+
 class TestDelivery:
     def test_point_to_point(self, net):
+        messages = collect(net.node("B"), "ping")
         net.send("A", "B", "ping", {"x": 1})
         net.run()
-        messages = net.node("B").drain()
         assert len(messages) == 1
         assert messages[0].payload == {"x": 1}
 
     def test_broadcast_excludes_sender(self, net):
         net.broadcast("A", "announce", "hello")
         net.run()
-        assert len(net.node("B").inbox) == 1
-        assert len(net.node("C").inbox) == 1
-        assert len(net.node("A").inbox) == 0
+        assert arrivals(net, "B") == 1
+        assert arrivals(net, "C") == 1
+        assert arrivals(net, "A") == 0
 
     def test_broadcast_to_explicit_recipients(self, net):
         net.broadcast("A", "announce", "hello", recipients=["B"])
         net.run()
-        assert len(net.node("B").inbox) == 1
-        assert len(net.node("C").inbox) == 0
+        assert arrivals(net, "B") == 1
+        assert arrivals(net, "C") == 0
 
     def test_unknown_recipient_rejected(self, net):
         with pytest.raises(DeliveryError, match="unknown recipient"):
@@ -56,11 +72,12 @@ class TestDelivery:
         )
         net.add_node("A")
         net.add_node("B")
+        received = collect(net.node("B"), "first", "second")
         net.send("A", "B", "first", 1)
         net.clock.advance(1.0)
         net.send("A", "B", "second", 2)
         net.run()
-        kinds = [m.kind for m in net.node("B").inbox]
+        kinds = [m.kind for m in received]
         assert kinds == ["first", "second"]
 
     def test_clock_advances_with_deliveries(self, net):
@@ -77,11 +94,14 @@ class TestDelivery:
         assert received == [42]
 
     def test_drain_by_kind(self, net):
+        """A handler receives only messages of the kind it registered for."""
+        xs = collect(net.node("B"), "x")
+        ys = collect(net.node("B"), "y")
         net.send("A", "B", "x", 1)
         net.send("A", "B", "y", 2)
         net.run()
-        assert [m.payload for m in net.node("B").drain("x")] == [1]
-        assert [m.payload for m in net.node("B").drain()] == [2]
+        assert [m.payload for m in xs] == [1]
+        assert [m.payload for m in ys] == [2]
 
 
 class TestObservers:
@@ -140,14 +160,14 @@ class TestFaults:
         net.partition("A", "B")
         net.send("A", "C", "ping", {})
         net.run()
-        assert len(net.node("C").inbox) == 1
+        assert arrivals(net, "C") == 1
 
     def test_heal_restores_link(self, net):
         net.partition("A", "B")
         net.heal("A", "B")
         net.send("A", "B", "ping", {})
         net.run()
-        assert len(net.node("B").inbox) == 1
+        assert arrivals(net, "B") == 1
 
     def test_message_drops(self):
         net = SimNetwork(rng=DeterministicRNG("drops"), drop_probability=1.0)
@@ -155,7 +175,7 @@ class TestFaults:
         net.add_node("B")
         net.send("A", "B", "ping", {})
         net.run()
-        assert len(net.node("B").inbox) == 0
+        assert arrivals(net, "B") == 0
         assert net.stats.messages_dropped == 1
 
     def test_partial_drop_rate(self):
@@ -165,7 +185,7 @@ class TestFaults:
         for __ in range(200):
             net.send("A", "B", "ping", {})
         net.run()
-        delivered = len(net.node("B").inbox)
+        delivered = arrivals(net, "B")
         assert 50 < delivered < 150  # loose bounds around 100
 
 
@@ -176,7 +196,7 @@ class TestPartitionTiming:
         net.send("A", "B", "ping", {})
         net.partition("A", "B")  # created while the message is in flight
         net.run()
-        assert len(net.node("B").inbox) == 0
+        assert arrivals(net, "B") == 0
         assert net.stats.messages_dropped == 1
         assert net.stats.dropped_by_partition == 1
         assert net.stats.messages_delivered == 0
@@ -195,7 +215,7 @@ class TestPartitionTiming:
         net.heal("A", "B")
         net.send("A", "B", "ping", {})
         net.run()
-        assert len(net.node("B").inbox) == 1
+        assert arrivals(net, "B") == 1
 
     def test_drop_vs_partition_stats_are_distinct(self):
         net = SimNetwork(rng=DeterministicRNG("attrib"), drop_probability=1.0)
@@ -217,7 +237,7 @@ class TestPartitionTiming:
         net.clock.advance_to(1.0)
         net.send("A", "B", "ping", {})
         net.run()
-        assert len(net.node("B").inbox) == 1
+        assert arrivals(net, "B") == 1
 
     def test_message_sent_before_window_drops_inside_it(self, net):
         # Due time falls inside the partition window even though the send
@@ -226,7 +246,7 @@ class TestPartitionTiming:
         net.fault_plan = FaultPlan().partition_between("A", "B", start=0.1, end=2.0)
         net.send("A", "B", "ping", {})  # sent at t=0, due at t=0.5
         net.run()
-        assert len(net.node("B").inbox) == 0
+        assert arrivals(net, "B") == 0
         assert net.stats.dropped_by_partition == 1
 
 
@@ -237,8 +257,8 @@ class TestBroadcastAtomicity:
         with pytest.raises(DeliveryError, match="unknown recipient"):
             net.broadcast("A", "announce", "x", recipients=["B", "Z", "C"])
         net.run()
-        assert len(net.node("B").inbox) == 0
-        assert len(net.node("C").inbox) == 0
+        assert arrivals(net, "B") == 0
+        assert arrivals(net, "C") == 0
         assert net.stats.messages_sent == 0
 
     def test_partitioned_target_queues_nothing(self, net):
@@ -246,14 +266,14 @@ class TestBroadcastAtomicity:
         with pytest.raises(DeliveryError, match="partition"):
             net.broadcast("A", "announce", "x")
         net.run()
-        assert len(net.node("B").inbox) == 0
+        assert arrivals(net, "B") == 0
         assert net.stats.messages_sent == 0
 
     def test_crashed_target_queues_nothing(self, net):
         net.fault_plan = FaultPlan().crash_node("C", start=0.0, end=1.0)
         with pytest.raises(DeliveryError, match="down"):
             net.broadcast("A", "announce", "x")
-        assert len(net.node("B").inbox) == 0
+        assert arrivals(net, "B") == 0
 
 
 class TestPayloadSizing:
@@ -265,7 +285,7 @@ class TestPayloadSizing:
         message = net.send("A", "B", "ping", {"rate": float("nan")})
         assert message.size_bytes == 256
         net.run()
-        assert len(net.node("B").inbox) == 1
+        assert arrivals(net, "B") == 1
 
     def test_unserializable_object_falls_back(self, net):
         message = net.send("A", "B", "ping", object())
@@ -275,10 +295,10 @@ class TestPayloadSizing:
 class TestResilientDelivery:
     def test_first_attempt_ack(self, net):
         receipt = net.send_with_retry("A", "B", "ping", {"x": 1})
-        assert receipt.delivered
         assert receipt.attempts == 1
         assert receipt.delivered_at is not None
-        assert net.was_delivered(receipt.message)
+        assert receipt.message.recipient == "B"
+        assert arrivals(net, "B") == 1
         assert net.stats.retries == 0
 
     def test_retry_succeeds_after_partition_heals(self, net):
@@ -288,7 +308,7 @@ class TestResilientDelivery:
         receipt = net.send_with_retry(
             "A", "B", "ping", {}, timeout=0.25, max_attempts=3
         )
-        assert receipt.delivered
+        assert arrivals(net, "B") == 1
         assert receipt.attempts == 2
         assert net.stats.retries == 1
 
@@ -324,7 +344,7 @@ class TestResilientDelivery:
         receipt = net.send_with_retry("A", "B", "ping", {}, max_attempts=3)
         net.run()
         assert receipt.attempts == 1
-        assert len(net.node("B").inbox) == 1
+        assert arrivals(net, "B") == 1
 
 
 class TestFaultPlanThreading:
@@ -337,8 +357,8 @@ class TestFaultPlanThreading:
         net.send("A", "B", "ping", {})
         net.send("A", "C", "ping", {})  # unaffected link
         net.run()
-        assert len(net.node("B").inbox) == 0
-        assert len(net.node("C").inbox) == 1
+        assert arrivals(net, "B") == 0
+        assert arrivals(net, "C") == 1
         assert net.stats.dropped_by_loss == 1
 
     def test_latency_multiplier_slows_link(self):
@@ -363,14 +383,14 @@ class TestFaultPlanThreading:
         net.clock.advance_to(1.0)
         net.send("A", "B", "ping", {})  # recovered
         net.run()
-        assert len(net.node("B").inbox) == 1
+        assert arrivals(net, "B") == 1
 
     def test_crash_at_delivery_time_drops_in_flight(self, net):
         net.latency = LatencyModel(base=0.5, jitter=0.0)
         net.fault_plan = FaultPlan().crash_node("B", start=0.1, end=2.0)
         net.send("A", "B", "ping", {})  # sent at t=0 while B is still up
         net.run()
-        assert len(net.node("B").inbox) == 0
+        assert arrivals(net, "B") == 0
         assert net.stats.dropped_by_crash == 1
 
     def test_zero_loss_plan_keeps_rng_stream_identical(self):
@@ -393,15 +413,16 @@ class TestFaultPlanThreading:
 
 class TestRunUntil:
     def test_delivers_only_due_events(self, net):
+        received = collect(net.node("B"), "early", "late")
         net.latency = LatencyModel(base=0.01, jitter=0.0)
         net.send("A", "B", "early", 1)  # due at 0.01
         net.latency = LatencyModel(base=2.0, jitter=0.0)
         net.send("A", "B", "late", 2)  # due at 2.0
         net.run_until(0.5)
-        assert [m.kind for m in net.node("B").inbox] == ["early"]
+        assert [m.kind for m in received] == ["early"]
         assert net.clock.now == pytest.approx(0.5)
         net.run()
-        assert [m.kind for m in net.node("B").inbox] == ["early", "late"]
+        assert [m.kind for m in received] == ["early", "late"]
 
 
 class TestStats:
@@ -415,3 +436,58 @@ class TestStats:
 
     def test_step_returns_false_when_empty(self, net):
         assert net.step() is False
+
+    def test_reading_stats_leaves_telemetry_unchanged(self, net):
+        net.send("A", "B", "ping", {})
+        net.run()
+        before = net.telemetry.to_dict()
+        for name in NetworkStats.FIELDS:
+            getattr(net.stats, name)
+        repr(net.stats)
+        assert net.stats == net.stats
+        assert net.stats.messages_dropped == 0
+        assert net.telemetry.to_dict() == before
+
+
+class TestRetention:
+    """The network keeps nothing per message once a delivery is done."""
+
+    def test_delivered_message_can_be_collected(self, net):
+        message = weakref.ref(net.send("A", "B", "ping", {"x": 1}))
+        net.run()
+        gc.collect()
+        assert arrivals(net, "B") == 1
+        assert message() is None
+
+    def test_no_ack_record_outlives_its_exchange(self):
+        # Latency above the first timeout: the first copy is acked during
+        # the second attempt's window, and the second copy lands after
+        # the exchange has returned.
+        net = SimNetwork(
+            rng=DeterministicRNG("retention"),
+            latency=LatencyModel(base=0.2, jitter=0.1),
+            drop_probability=0.3,
+        )
+        net.add_node("A")
+        net.add_node("B")
+
+        def held() -> int:
+            return sum(
+                len(value)
+                for value in vars(net).values()
+                if isinstance(value, (dict, list, set))
+            )
+
+        baseline = held()
+        timeouts = 0
+        for n in range(200):
+            try:
+                net.send_with_retry(
+                    "A", "B", "ping", {"n": n}, timeout=0.15, max_attempts=3
+                )
+            except DeliveryTimeout:
+                timeouts += 1
+        net.run()
+        assert timeouts > 0
+        assert net.stats.deduplicated > 0  # late copies of returned exchanges
+        assert held() == baseline

@@ -274,5 +274,5 @@ class TestP2PPrivacy:
         issue_iou(net, amount=42)
         net.network.run()
         carol = net.network.node("Carol")
-        assert carol.inbox == []
+        assert carol.observer.messages_observed == 0
         assert carol.observer.seen_identities == set()

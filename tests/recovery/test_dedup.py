@@ -17,26 +17,31 @@ def net():
     return network
 
 
+def arrivals(net, name):
+    """How many messages *name* has applied (its observer counts each)."""
+    return net.node(name).observer.messages_observed
+
+
 class TestMessageDedup:
     def test_duplicate_key_applied_once(self, net):
         net.send("A", "B", "item", {"n": 1}, dedup_key="item/1")
         net.send("A", "B", "item", {"n": 1}, dedup_key="item/1")
         net.run()
-        assert len(net.node("B").drain("item")) == 1
+        assert arrivals(net, "B") == 1
         assert net.stats.deduplicated == 1
 
     def test_distinct_keys_both_applied(self, net):
         net.send("A", "B", "item", {"n": 1}, dedup_key="item/1")
         net.send("A", "B", "item", {"n": 2}, dedup_key="item/2")
         net.run()
-        assert len(net.node("B").drain("item")) == 2
+        assert arrivals(net, "B") == 2
         assert net.stats.deduplicated == 0
 
     def test_no_key_means_no_suppression(self, net):
         net.send("A", "B", "item", {"n": 1})
         net.send("A", "B", "item", {"n": 1})
         net.run()
-        assert len(net.node("B").drain("item")) == 2
+        assert arrivals(net, "B") == 2
 
     def test_has_applied_tracks_delivered_keys(self, net):
         net.send("A", "B", "item", {"n": 1}, dedup_key="item/1")
@@ -53,7 +58,7 @@ class TestMessageDedup:
         )
         net.send_with_retry("A", "B", "ack-me", {"n": 1}, timeout=0.5)
         net.run()
-        assert len(net.node("B").drain("ack-me")) == 1
+        assert arrivals(net, "B") == 1
 
     def test_crash_wipes_dedup_memory(self, net):
         """In-memory dedup state is volatile — exactly why recovery keys
@@ -63,9 +68,10 @@ class TestMessageDedup:
         net.crash_node("B")
         net.recover_node("B")
         assert not net.node("B").has_applied("item/1")
+        before = arrivals(net, "B")
         net.send("A", "B", "item", {"n": 1}, dedup_key="item/1")
         net.run()
-        assert len(net.node("B").drain("item")) == 1
+        assert arrivals(net, "B") == before + 1
 
 
 class TestCatchupKeys:
