@@ -26,7 +26,8 @@ from benchmarks.conftest import write_result
 from repro.common.clock import SimClock
 from repro.common.rng import DeterministicRNG
 from repro.faults.plan import FaultPlan
-from repro.network.simnet import LatencyModel, SimNetwork
+from repro.network.messages import Message
+from repro.network.simnet import LatencyModel, Observer, SimNetwork
 from repro.platforms.fabric import FabricNetwork
 from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
 
@@ -107,6 +108,24 @@ def test_overhead_ratio_report():
     assert ratio < 10.0
 
 
+class ArrivalLog(Observer):
+    """A tap logging ``(message_id, delivery time)`` for every delivery.
+
+    Message ids number sends per network, so two identically driven
+    networks log the same pairs exactly when they deliver the same
+    messages in the same order at the same times.
+    """
+
+    def __init__(self, clock: SimClock) -> None:
+        super().__init__("arrivals")
+        self.clock = clock
+        self.arrivals: list[tuple[int, float]] = []
+
+    def observe(self, message: Message) -> None:
+        super().observe(message)
+        self.arrivals.append((message.message_id, self.clock.now))
+
+
 def test_empty_fault_plan_changes_nothing():
     """An attached-but-empty plan must not perturb the simulation.
 
@@ -115,15 +134,16 @@ def test_empty_fault_plan_changes_nothing():
     """
     plain = fresh_net("fi1-parity")
     planned = fresh_net("fi1-parity", fault_plan=FaultPlan())
-    plain_arrivals, planned_arrivals = [], []
-    for net, arrivals in ((plain, plain_arrivals), (planned, planned_arrivals)):
-        net.node("B").on("data", lambda m, seen=arrivals: seen.append(m.payload["n"]))
+    logs = []
+    for net in (plain, planned):
+        log = net.add_tap(ArrivalLog(net.clock))
         for n in range(50):
             net.send("A", "B", "data", {"n": n})
         net.run()
+        logs.append(log.arrivals)
     assert plain.clock.now == planned.clock.now
     assert plain.stats == planned.stats
-    assert plain_arrivals == planned_arrivals
+    assert logs[0] == logs[1]
 
 
 @pytest.mark.parametrize("resilient", [False, True], ids=["plain", "resilient"])

@@ -14,7 +14,8 @@ python -m pytest -x -q tests "$@"
 
 echo
 echo "== chaos suite (fault injection + liveness/privacy invariants) =="
-python -m pytest -x -q tests/integration/test_chaos.py tests/network/test_faults.py
+python -m pytest -x -q tests/integration/test_chaos.py tests/network/test_faults.py \
+    benchmarks/test_fault_overhead.py::test_empty_fault_plan_changes_nothing
 
 echo
 echo "== telemetry gate (leakage cross-check + strict lint of repro.telemetry) =="

@@ -1,18 +1,14 @@
 """Network message model.
 
-Every byte that crosses the simulated wire is a :class:`Message`.  Privacy
-analysis is message-centric: the leakage auditor inspects exactly what each
-principal received or could observe, so messages carry explicit metadata
-about the identities and data classes they expose.
+Everything that crosses the simulated wire is a :class:`Message` envelope.
+Privacy analysis is message-centric: the leakage auditor inspects exactly
+what each principal received or could observe, so envelopes carry explicit
+metadata about the identities and data classes they expose.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any
-
-_sequence = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -57,7 +53,10 @@ class Exposure:
 
 @dataclass(frozen=True)
 class Message:
-    """One unit of simulated network traffic.
+    """The envelope of one unit of simulated network traffic.
+
+    ``SimNetwork.send`` only sizes the payload (``size_bytes``) and keeps
+    nothing else of it.  ``message_id`` numbers sends per network.
 
     ``trace`` carries the sender's telemetry trace context —
     ``(trace_id, span_id)`` — across the wire, the way real systems put
@@ -68,7 +67,7 @@ class Message:
 
     ``dedup_key`` makes delivery idempotent at the application layer:
     two messages carrying the same key are applied at most once by the
-    recipient (the second is acknowledged but not handed to handlers).
+    recipient (the second is acknowledged but not recorded again).
     Retransmissions from ``send_with_retry`` and replayed catch-up
     blocks both rely on it.  Like ``trace`` it is an opaque label, never
     payload-derived data, so it widens no observer's knowledge.
@@ -77,10 +76,9 @@ class Message:
     sender: str
     recipient: str
     kind: str
-    payload: Any
+    message_id: int
     exposure: Exposure = field(default_factory=Exposure)
     size_bytes: int = 0
-    message_id: int = field(default_factory=lambda: next(_sequence))
     sent_at: float = 0.0
     trace: tuple[str, str] | None = None
     dedup_key: str | None = None

@@ -2,8 +2,9 @@
 
 The substrate every platform simulation runs on.  Provides:
 
-- registered nodes with message handlers; each node's :class:`Observer`
-  is the one record of what it received,
+- registered nodes; each node's :class:`Observer` is the one record of
+  what it received.  A message is its envelope: the payload is sized at
+  send and not kept,
 - point-to-point sends and broadcasts with configurable latency models,
 - message loss, network partitions, and scheduled fault plans
   (:class:`repro.faults.FaultPlan`) consulted at both send *and* delivery
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 from repro.common.clock import SimClock
 from repro.common.errors import DeliveryError, DeliveryTimeout
@@ -155,9 +156,9 @@ class Observer:
 
 
 class Node:
-    """A network endpoint with optional message handlers.
+    """A network endpoint: a name, an observer and its dedup memory.
 
-    Each node is also an :class:`Observer` of its own inbound traffic, so
+    Each node is an :class:`Observer` of its own inbound traffic, so
     "what did this peer learn" falls out of the same accounting as the
     passive taps.  The observer is the only record of a delivery.
     """
@@ -166,11 +167,6 @@ class Node:
         self.name = name
         self.observer = Observer(name)
         self.seen_dedup_keys: set[str] = set()
-        self._handlers: dict[str, Callable[[Message], None]] = {}
-
-    def on(self, kind: str, handler: Callable[[Message], None]) -> None:
-        """Register a handler invoked when a message of *kind* arrives."""
-        self._handlers[kind] = handler
 
     def has_applied(self, dedup_key: str) -> bool:
         """Whether a message carrying *dedup_key* was already applied.
@@ -181,24 +177,12 @@ class Node:
         """
         return dedup_key in self.seen_dedup_keys
 
-    def deliver(self, message: Message) -> None:
-        self.observer.observe(message)
-        handler = self._handlers.get(message.kind)
-        if handler is not None:
-            handler(message)
-
-
-@dataclass(order=True)
-class _ScheduledDelivery:
-    due: float
-    order: int
-    message: Message = field(compare=False)
-
 
 class SimNetwork:
     """The event loop: schedule sends, run until quiescent.
 
-    Messages are delivered in timestamp order.  Partitions are symmetric
+    Messages are delivered in timestamp order, ties in send order (the
+    queue holds ``(due, message_id, message)``).  Partitions are symmetric
     sets of node pairs that cannot communicate; sends across a partition
     raise immediately (TCP connection refusal analogue), while probabilistic
     drop models silent loss.
@@ -222,8 +206,8 @@ class SimNetwork:
         self.stats = NetworkStats(self.telemetry.metrics)
         self._nodes: dict[str, Node] = {}
         self._taps: list[Observer] = []
-        self._queue: list[_ScheduledDelivery] = []
-        self._order = itertools.count()
+        self._queue: list[tuple[float, int, Message]] = []
+        self._message_ids = itertools.count(1)
         self._partitions: set[frozenset[str]] = set()
         # Message id -> delivery time (None until delivered) for the copies
         # of the ``send_with_retry`` exchanges in progress; each exchange
@@ -402,8 +386,8 @@ class SimNetwork:
         network's tracer) is stamped onto the envelope so the delivery
         side can attach its transit span to the same trace.  A
         *dedup_key* makes the message idempotent: the recipient applies
-        at most one message per key (duplicates are acked but dropped
-        before handlers run).
+        at most one message per key (duplicates are acked but not
+        recorded).  *payload* is only sized, not kept.
         """
         self._check_link(sender, recipient)
         context = self.telemetry.tracer.current_context()
@@ -411,7 +395,7 @@ class SimNetwork:
             sender=sender,
             recipient=recipient,
             kind=kind,
-            payload=payload,
+            message_id=next(self._message_ids),
             exposure=exposure or Exposure(),
             size_bytes=self._payload_size(payload),
             sent_at=self.clock.now,
@@ -430,9 +414,7 @@ class SimNetwork:
                 sender, recipient, self.clock.now
             )
         due = self.clock.now + delay
-        heapq.heappush(
-            self._queue, _ScheduledDelivery(due=due, order=next(self._order), message=message)
-        )
+        heapq.heappush(self._queue, (due, message.message_id, message))
         return message
 
     def broadcast(
@@ -553,7 +535,7 @@ class SimNetwork:
                     if copies:
                         while (
                             self._queue
-                            and self._queue[0].due <= deadline
+                            and self._queue[0][0] <= deadline
                             and acked() is None
                         ):
                             self.step()
@@ -591,28 +573,27 @@ class SimNetwork:
         """
         if not self._queue:
             return False
-        event = heapq.heappop(self._queue)
-        self.clock.advance_to(event.due)
-        message = event.message
-        if self.is_partitioned(message.sender, message.recipient, now=event.due):
-            self._record_drop(message, "partition", at=event.due)
+        due, __, message = heapq.heappop(self._queue)
+        self.clock.advance_to(due)
+        if self.is_partitioned(message.sender, message.recipient, now=due):
+            self._record_drop(message, "partition", at=due)
             return True
-        if self.is_crashed(message.recipient, now=event.due):
-            self._record_drop(message, "crash", at=event.due)
+        if self.is_crashed(message.recipient, now=due):
+            self._record_drop(message, "crash", at=due)
             return True
         for tap in self._taps:
             tap.observe(message)
         self._count("net.messages_delivered")
         self._count("net.bytes_transferred", message.size_bytes)
         self.telemetry.metrics.histogram("net.delivery_latency").observe(
-            event.due - message.sent_at
+            due - message.sent_at
         )
         context = TraceContext.from_tuple(message.trace)
         if context is not None:
             self.telemetry.tracer.record_span(
                 "net.transit",
                 start=message.sent_at,
-                end=event.due,
+                end=due,
                 parent=context,
                 kind=message.kind,
                 sender=message.sender,
@@ -620,7 +601,7 @@ class SimNetwork:
                 size_bytes=message.size_bytes,
             )
         if message.message_id in self._awaiting_ack:
-            self._awaiting_ack[message.message_id] = event.due
+            self._awaiting_ack[message.message_id] = due
         node = self._nodes[message.recipient]
         if message.dedup_key is not None:
             if message.dedup_key in node.seen_dedup_keys:
@@ -630,14 +611,14 @@ class SimNetwork:
                 self._count("net.deduplicated")
                 self.telemetry.events.emit(
                     "net.dedup",
-                    time=event.due,
+                    time=due,
                     kind=message.kind,
                     sender=message.sender,
                     recipient=message.recipient,
                 )
                 return True
             node.seen_dedup_keys.add(message.dedup_key)
-        node.deliver(message)
+        node.observer.observe(message)
         return True
 
     def run(self, max_steps: int = 1_000_000) -> int:
@@ -655,11 +636,11 @@ class SimNetwork:
         while (
             steps < max_steps
             and self._queue
-            and self._queue[0].due <= deadline
+            and self._queue[0][0] <= deadline
             and self.step()
         ):
             steps += 1
-        if steps >= max_steps and self._queue and self._queue[0].due <= deadline:
+        if steps >= max_steps and self._queue and self._queue[0][0] <= deadline:
             raise DeliveryError("network did not quiesce (message storm?)")
         self.clock.advance_to(deadline)
         return steps

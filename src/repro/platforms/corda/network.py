@@ -286,6 +286,14 @@ class CordaNetwork(Platform):
                     raise ValidationError(
                         f"missing signatures from {sorted(missing)}"
                     )
+                # An extra signature labelled with a legal signer's name
+                # replaces the genuine one, so check every legal signature
+                # before the notary spends an input.  Pseudonymous labels
+                # (one-time keys, oracles) are the use case's to verify.
+                stx.verify_signatures(
+                    self.scheme, lambda name: self.parties[name].public_key,
+                    legal_signers,
+                )
 
             # 4. Notarise.  Non-validating notaries get a tear-off only.  The
             # notarise hop is the flow's critical round-trip, so it is the one

@@ -7,10 +7,11 @@ replayed catch-up item is applied at most once, and resilient delivery
 with ``recovery.*`` accounting.
 
 Catch-up messages follow the repo's wire convention: the payload carries
-identifiers and digests only, while the :class:`Exposure` declares what
-the transfer reveals — so the leakage auditor sees catch-up traffic with
-the same fidelity as normal operation, and an over-broad responder shows
-up as widened observer knowledge, not as silence.
+identifiers and digests only and the network keeps nothing of it but its
+size, while the :class:`Exposure` declares what the transfer reveals — so
+the leakage auditor sees catch-up traffic with the same fidelity as normal
+operation, and an over-broad responder shows up as widened observer
+knowledge, not as silence.
 """
 
 from __future__ import annotations

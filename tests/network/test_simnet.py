@@ -10,6 +10,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.errors import DeliveryError, DeliveryTimeout
 from repro.common.rng import DeterministicRNG
+from repro.common.serialization import canonical_bytes
 from repro.faults.plan import FaultPlan
 from repro.network.messages import Exposure
 from repro.network.simnet import LatencyModel, NetworkStats, Observer, SimNetwork
@@ -23,12 +24,16 @@ def net():
     return network
 
 
-def collect(node, *kinds):
-    """Record each message of *kinds* delivered to *node*, in arrival order."""
-    received = []
-    for kind in kinds:
-        node.on(kind, received.append)
-    return received
+class Recorder(Observer):
+    """A tap that also keeps each envelope it sees, in delivery order."""
+
+    def __init__(self) -> None:
+        super().__init__("recorder")
+        self.messages = []
+
+    def observe(self, message):
+        super().observe(message)
+        self.messages.append(message)
 
 
 def arrivals(net, name):
@@ -38,11 +43,12 @@ def arrivals(net, name):
 
 class TestDelivery:
     def test_point_to_point(self, net):
-        messages = collect(net.node("B"), "ping")
-        net.send("A", "B", "ping", {"x": 1})
+        tap = net.add_tap(Recorder())
+        sent = net.send("A", "B", "ping", {"x": 1})
         net.run()
-        assert len(messages) == 1
-        assert messages[0].payload == {"x": 1}
+        assert sent.size_bytes == len(canonical_bytes({"x": 1}))
+        assert tap.messages == [sent]
+        assert arrivals(net, "B") == 1
 
     def test_broadcast_excludes_sender(self, net):
         net.broadcast("A", "announce", "hello")
@@ -66,19 +72,22 @@ class TestDelivery:
             net.add_node("A")
 
     def test_delivery_order_respects_latency(self):
-        net = SimNetwork(
-            rng=DeterministicRNG("order"),
-            latency=LatencyModel(base=0.01, jitter=0.0),
-        )
-        net.add_node("A")
-        net.add_node("B")
-        received = collect(net.node("B"), "first", "second")
-        net.send("A", "B", "first", 1)
-        net.clock.advance(1.0)
-        net.send("A", "B", "second", 2)
-        net.run()
-        kinds = [m.kind for m in received]
-        assert kinds == ["first", "second"]
+        # A gap of 0 makes both messages due at the same time: send order
+        # breaks the tie.
+        for gap in (1.0, 0.0):
+            net = SimNetwork(
+                rng=DeterministicRNG("order"),
+                latency=LatencyModel(base=0.01, jitter=0.0),
+            )
+            net.add_node("A")
+            net.add_node("B")
+            tap = net.add_tap(Recorder())
+            net.send("A", "B", "first", 1)
+            net.clock.advance(gap)
+            net.send("A", "B", "second", 2)
+            net.run()
+            kinds = [m.kind for m in tap.messages]
+            assert kinds == ["first", "second"]
 
     def test_clock_advances_with_deliveries(self, net):
         before = net.clock.now
@@ -86,22 +95,19 @@ class TestDelivery:
         net.run()
         assert net.clock.now > before
 
-    def test_handlers_invoked(self, net):
-        received = []
-        net.node("B").on("ping", lambda m: received.append(m.payload))
-        net.send("A", "B", "ping", 42)
-        net.run()
-        assert received == [42]
+    def test_message_ids_are_per_network(self):
+        def message_ids():
+            net = SimNetwork(rng=DeterministicRNG("ids"))
+            net.add_node("A")
+            net.add_node("B")
+            sent = [net.send("A", "B", "ping", {"n": n}) for n in range(3)]
+            sent += net.broadcast("B", "announce", {})
+            net.run()
+            return [m.message_id for m in sent]
 
-    def test_drain_by_kind(self, net):
-        """A handler receives only messages of the kind it registered for."""
-        xs = collect(net.node("B"), "x")
-        ys = collect(net.node("B"), "y")
-        net.send("A", "B", "x", 1)
-        net.send("A", "B", "y", 2)
-        net.run()
-        assert [m.payload for m in xs] == [1]
-        assert [m.payload for m in ys] == [2]
+        first = message_ids()
+        assert first == message_ids()
+        assert first == sorted(set(first))
 
 
 class TestObservers:
@@ -413,16 +419,16 @@ class TestFaultPlanThreading:
 
 class TestRunUntil:
     def test_delivers_only_due_events(self, net):
-        received = collect(net.node("B"), "early", "late")
+        tap = net.add_tap(Recorder())
         net.latency = LatencyModel(base=0.01, jitter=0.0)
         net.send("A", "B", "early", 1)  # due at 0.01
         net.latency = LatencyModel(base=2.0, jitter=0.0)
         net.send("A", "B", "late", 2)  # due at 2.0
         net.run_until(0.5)
-        assert [m.kind for m in received] == ["early"]
+        assert [m.kind for m in tap.messages] == ["early"]
         assert net.clock.now == pytest.approx(0.5)
         net.run()
-        assert [m.kind for m in received] == ["early", "late"]
+        assert [m.kind for m in tap.messages] == ["early", "late"]
 
 
 class TestStats:
@@ -458,6 +464,20 @@ class TestRetention:
         gc.collect()
         assert arrivals(net, "B") == 1
         assert message() is None
+
+    def test_queued_message_keeps_no_payload(self, net):
+        class Payload(dict):
+            """A dict that can be weakly referenced."""
+
+        payload = Payload(x=1)
+        gone = weakref.ref(payload)
+        message = net.send("A", "B", "ping", payload)
+        del payload
+        gc.collect()
+        assert gone() is None
+        assert net.step() is True  # the message was still queued
+        assert message.size_bytes == len(canonical_bytes({"x": 1}))
+        assert arrivals(net, "B") == 1
 
     def test_no_ack_record_outlives_its_exchange(self):
         # Latency above the first timeout: the first copy is acked during

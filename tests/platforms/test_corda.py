@@ -19,6 +19,7 @@ from repro.platforms.corda import (
     Oracle,
     StateRef,
 )
+from repro.crypto.signatures import Signature
 
 
 @pytest.fixture
@@ -100,6 +101,21 @@ class TestFlows:
         )
         net.run_flow("Alice", spend)
         assert issued.output_refs[0] not in net.vault("Alice").unconsumed
+
+    def test_forged_legal_signature_refused_before_notarising(self, net):
+        # An extra signature labelled "Bob" replaces Bob's genuine one.
+        issued = issue_iou(net)
+        spend = net.build_transaction(
+            inputs=[issued.output_refs[0]],
+            outputs=[ContractState("iou", ("Alice", "Bob"), {"amount": 10, "forged": True})],
+            commands=[Command(name="Settle", signers=("Alice", "Bob"))],
+        )
+        with pytest.raises(ValidationError, match="invalid signature from 'Bob'"):
+            net.run_flow("Alice", spend, extra_signatures={"Bob": Signature(1, 2)})
+        for party in ("Alice", "Bob", "Carol"):
+            assert not net.vault(party).knows_transaction(spend.tx_id)
+        assert not net.notary.is_spent(issued.output_refs[0])
+        assert issued.output_refs[0] in net.vault("Alice").unconsumed
 
 
 class TestNotary:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.common.rng import DeterministicRNG
-from repro.network.simnet import SimNetwork
+from repro.network.simnet import LatencyModel, Observer, SimNetwork
 from repro.recovery.catchup import catchup_dedup_key, pick_provider
 
 import pytest
@@ -51,13 +51,15 @@ class TestMessageDedup:
 
     def test_retry_attempts_share_one_key(self, net):
         """send_with_retry retransmissions deduplicate at the recipient."""
-        net.drop_probability = 0.4
-        net.node("B").on(
-            "ack-me",
-            lambda m: net.send("B", "A", "ack", {}, dedup_key=None),
-        )
-        net.send_with_retry("A", "B", "ack-me", {"n": 1}, timeout=0.5)
+        # Latency above the ack timeout: the first copy is still in flight
+        # when the retry goes out, so both copies reach B.
+        net.latency = LatencyModel(base=0.3, jitter=0.0)
+        wire = net.add_tap(Observer("wire"))
+        receipt = net.send_with_retry("A", "B", "ack-me", {"n": 1}, timeout=0.2)
         net.run()
+        assert receipt.attempts == 2
+        assert wire.messages_observed == 2
+        assert net.stats.deduplicated == 1
         assert arrivals(net, "B") == 1
 
     def test_crash_wipes_dedup_memory(self, net):
