@@ -25,8 +25,11 @@ def main() -> None:
     print("what the oracle could see:")
     print(f"  disclosure ratio: {trade.disclosure_ratio:.0%} of components")
     print(f"  saw the notional? {trade.oracle_saw_notional}")
-    print(f"  signature valid for the FULL transaction? "
-          f"{trade.oracle_signature_valid}")
+    valid = workflow.network.scheme.verify(
+        workflow.oracle.key.public, wire.signing_payload(),
+        trade.flow.stx.signatures[workflow.ORACLE_NAME],
+    )
+    print(f"  signature valid for the FULL transaction? {valid}")
     print()
     print("and the non-validating notary's accumulated knowledge:")
     print(f"  {workflow.network.notary.knowledge()}")

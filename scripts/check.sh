@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo health gate: tier-1 tests, the chaos suite, the wall-clock
-# benchmark's own tests, the cross-process determinism gate, then the
-# strict self-lint.
+# benchmark's own tests and a one-second smoke run of it, the
+# cross-process determinism gate, then the strict self-lint.
 #
 # Usage: scripts/check.sh [extra pytest args]
 set -euo pipefail
@@ -39,6 +39,19 @@ python -m repro lint --strict src/repro/driver
 echo
 echo "== wall-clock benchmark tests (layer targets still exist in src/) =="
 python -m pytest -x -q perfbench/tests
+
+echo
+echo "== benchmark smoke (end-to-end checks: commits, fingerprints, telemetry) =="
+# run.py exits non-zero unless every request commits, fingerprints agree
+# across hash seeds and telemetry is identical across passes.  On success
+# only its final JSON line is shown; on failure all of its output, with
+# the CHECK FAILED lines.  Seed 1000 is kept for this step: it overwrites
+# .bench_out/kv-hot-seed1000-trace0.json on every check.
+if ! smoke=$(python perfbench/run.py --workload kv-hot --seed 1000 --seconds 1 --trace 0); then
+    echo "$smoke"
+    exit 1
+fi
+echo "${smoke##*$'\n'}"
 
 echo
 echo "== cross-process determinism gate (fingerprints + telemetry under 3 hash seeds) =="

@@ -4,14 +4,24 @@ Everything that crosses the simulated wire is a :class:`Message` envelope.
 Privacy analysis is message-centric: the leakage auditor inspects exactly
 what each principal received or could observe, so envelopes carry explicit
 metadata about the identities and data classes they expose.
+
+An undelivered envelope stays queued until the network is stepped, so
+both records are kept small: they are slotted (no per-instance
+``__dict__``), every empty field of an :class:`Exposure` is the one
+shared :data:`_EMPTY` frozenset, and a sender that fans one transaction
+out to many recipients passes the same :class:`Exposure` object to every
+send.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+#: The one empty frozenset every empty :class:`Exposure` field points at.
+_EMPTY: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exposure:
     """What a message reveals to whoever can read it.
 
@@ -23,9 +33,9 @@ class Exposure:
     encrypting them.
     """
 
-    identities: frozenset[str] = frozenset()
-    data_keys: frozenset[str] = frozenset()
-    code_ids: frozenset[str] = frozenset()
+    identities: frozenset[str] = _EMPTY
+    data_keys: frozenset[str] = _EMPTY
+    code_ids: frozenset[str] = _EMPTY
 
     @classmethod
     def of(
@@ -35,9 +45,9 @@ class Exposure:
         code_ids: set[str] | list[str] = (),
     ) -> "Exposure":
         return cls(
-            identities=frozenset(identities),
-            data_keys=frozenset(data_keys),
-            code_ids=frozenset(code_ids),
+            identities=frozenset(identities) if identities else _EMPTY,
+            data_keys=frozenset(data_keys) if data_keys else _EMPTY,
+            code_ids=frozenset(code_ids) if code_ids else _EMPTY,
         )
 
     def merge(self, other: "Exposure") -> "Exposure":
@@ -51,12 +61,14 @@ class Exposure:
         return not (self.identities or self.data_keys or self.code_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Message:
     """The envelope of one unit of simulated network traffic.
 
     ``SimNetwork.send`` only sizes the payload (``size_bytes``) and keeps
-    nothing else of it.  ``message_id`` numbers sends per network.
+    nothing else of it.  ``message_id`` numbers sends per network.  The
+    weakref slot keeps an envelope weakly referenceable, which is how the
+    retention tests check that a delivered one can be collected.
 
     ``trace`` carries the sender's telemetry trace context —
     ``(trace_id, span_id)`` — across the wire, the way real systems put
@@ -77,7 +89,7 @@ class Message:
     recipient: str
     kind: str
     message_id: int
-    exposure: Exposure = field(default_factory=Exposure)
+    exposure: Exposure = Exposure()
     size_bytes: int = 0
     sent_at: float = 0.0
     trace: tuple[str, str] | None = None

@@ -409,30 +409,36 @@ class FabricNetwork(Platform):
         with self.telemetry.span(
             "fabric.order", channel=channel_name, batch_size=len(proposals)
         ):
+            # What the orderer and every block recipient read in the
+            # clear: built once per transaction, shared by all its sends.
+            exposures: list[Exposure] = []
             for proposal in proposals:
                 if proposal.channel_name != channel_name:
                     raise PlatformError("proposal belongs to a different channel")
+                tx = proposal.tx
+                exposure = Exposure.of(
+                    identities=set(tx.metadata.get("participants", [])),
+                    data_keys={w.key for w in tx.writes} | {r.key for r in tx.reads},
+                )
+                exposures.append(exposure)
                 self.send_critical(
-                    proposal.tx.submitter
-                    if proposal.tx.submitter in self.parties
+                    tx.submitter
+                    if tx.submitter in self.parties
                     else sorted(channel.members)[0],
                     ORDERER_NODE,
                     "submit",
-                    {"tx_id": proposal.tx.tx_id},
-                    exposure=Exposure.of(
-                        identities=set(proposal.tx.metadata.get("participants", [])),
-                        data_keys={w.key for w in proposal.tx.writes}
-                        | {r.key for r in proposal.tx.reads},
-                    ),
+                    {"tx_id": tx.tx_id},
+                    exposure=exposure,
                 )
-                self.orderer.submit(proposal.tx)
+                self.orderer.submit(tx)
             batch = self.orderer.cut_batch(channel_name, force=force_cut)
-        return self._commit_block(channel, proposals, batch.released_at)
+        return self._commit_block(channel, proposals, exposures, batch.released_at)
 
     def _commit_block(
         self,
         channel: Channel,
         proposals: list["ProposedTransaction"],
+        exposures: list[Exposure],
         released_at: float,
     ) -> list[InvokeResult]:
         """Deliver one block to every member; validate and apply each tx.
@@ -440,7 +446,9 @@ class FabricNetwork(Platform):
         Fabric semantics: every transaction lands on the chain with a
         validation code; invalid ones do not touch state.  Validation runs
         sequentially against the evolving state, so two proposals endorsed
-        over the same snapshot conflict on their read sets.
+        over the same snapshot conflict on their read sets.  Each block
+        send carries the transaction's exposure from ``exposures``, the
+        object its ``submit`` send carried.
         """
         results: list[InvokeResult] = []
         block_txs: list[Transaction] = []
@@ -449,10 +457,8 @@ class FabricNetwork(Platform):
         # members keep committing as long as the endorsement policy can
         # still be met without the crashed peer.
         crashed = self._crashed_members(channel)
-        for proposal in proposals:
+        for proposal, exposure in zip(proposals, exposures):
             tx = proposal.tx
-            data_keys = {w.key for w in tx.writes} | {r.key for r in tx.reads}
-            identities = set(tx.metadata.get("participants", []))
             for member in sorted(channel.members):
                 if member in crashed:
                     continue
@@ -461,7 +467,7 @@ class FabricNetwork(Platform):
                     member,
                     "block",
                     {"tx_id": tx.tx_id, "channel": channel.name},
-                    exposure=Exposure.of(identities=identities, data_keys=data_keys),
+                    exposure=exposure,
                 )
             with self.telemetry.span(
                 "fabric.validate", channel=channel.name

@@ -26,6 +26,11 @@ make traces differ run to run, defeating replayability (the same reason
 the substrate bans wall clocks).  Every attribute and event recorded on
 a span first passes the tracer's
 :class:`~repro.telemetry.redaction.RedactionFilter`.
+
+A tracer keeps every span until the run ends, so the records are lean:
+:class:`Span`, :class:`SpanEvent` and :class:`TraceContext` are slotted
+(no per-instance ``__dict__``) and a span with no events holds the
+empty tuple rather than its own list.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from repro.common.clock import SimClock
 from repro.telemetry.redaction import RedactionFilter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceContext:
     """The propagatable coordinates of a span: what rides on messages."""
 
@@ -55,7 +60,7 @@ class TraceContext:
         return cls(trace_id=pair[0], span_id=pair[1])
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanEvent:
     """A point-in-time annotation inside a span."""
 
@@ -64,9 +69,13 @@ class SpanEvent:
     attributes: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
-    """One timed operation in a trace."""
+    """One timed operation in a trace.
+
+    ``events`` is a tuple that :meth:`Tracer.add_event` replaces, so a
+    span without events holds the shared empty tuple, not a list.
+    """
 
     name: str
     trace_id: str
@@ -75,7 +84,7 @@ class Span:
     start: float
     end: float | None = None
     attributes: dict[str, Any] = field(default_factory=dict)
-    events: list[SpanEvent] = field(default_factory=list)
+    events: tuple[SpanEvent, ...] = ()
     status: str = "ok"
     error: str | None = None
 
@@ -217,12 +226,12 @@ class Tracer:
         span.attributes.update(self.redactor.redact_attributes({key: value}))
 
     def add_event(self, span: Span, name: str, **attributes: Any) -> None:
-        span.events.append(
+        span.events += (
             SpanEvent(
                 time=self.clock.now,
                 name=name,
                 attributes=self.redactor.redact_attributes(attributes),
-            )
+            ),
         )
 
     # -- context propagation

@@ -31,7 +31,6 @@ class AttestedTrade:
     """The finalized trade plus what the oracle could and could not see."""
 
     flow: FlowResult
-    oracle_signature_valid: bool
     oracle_saw_notional: bool
     disclosure_ratio: float
 
@@ -95,16 +94,18 @@ class OracleTradeWorkflow:
             if isinstance(component, dict) and component.get("group") == "outputs"
             for key in component.get("data", {})
         }
+        # run_flow leaves the oracle's pseudonymous label unverified, so the
+        # attestation is checked here, before anything is notarised.
+        if not self.network.scheme.verify(
+            self.oracle.key.public, wire.signing_payload(), attestation.signature
+        ):
+            raise ValidationError(f"oracle {self.ORACLE_NAME!r} signature is invalid")
         flow = self.network.run_flow(
             alpha, wire,
             extra_signatures={self.ORACLE_NAME: attestation.signature},
         )
-        signature_valid = self.network.scheme.verify(
-            self.oracle.key.public, wire.signing_payload(), attestation.signature
-        )
         return AttestedTrade(
             flow=flow,
-            oracle_signature_valid=signature_valid,
             oracle_saw_notional=oracle_saw_notional,
             disclosure_ratio=filtered.tear_off.disclosure_ratio(),
         )

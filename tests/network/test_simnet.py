@@ -11,6 +11,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import DeliveryError, DeliveryTimeout
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import canonical_bytes
+from repro.driver import trade_scenario
 from repro.faults.plan import FaultPlan
 from repro.network.messages import Exposure
 from repro.network.simnet import LatencyModel, NetworkStats, Observer, SimNetwork
@@ -478,6 +479,32 @@ class TestRetention:
         assert net.step() is True  # the message was still queued
         assert message.size_bytes == len(canonical_bytes({"x": 1}))
         assert arrivals(net, "B") == 1
+
+    def test_empty_exposure_fields_share_one_frozenset(self):
+        empty = Exposure.of()
+        assert empty.identities is empty.data_keys is empty.code_ids
+        assert empty.identities == frozenset()
+        assert Exposure.of(identities=[], data_keys=set()).identities is empty.identities
+        assert Exposure().code_ids is empty.code_ids
+
+    def test_fabric_fan_out_shares_one_exposure(self):
+        scenario = trade_scenario("fabric", 1, confidential_fraction=0.0)
+        platform = scenario.platform
+        tap = platform.network.add_tap(Recorder())
+        (receipt,) = platform.submit_many(scenario.requests)
+        assert receipt.committed
+        platform.network.run()
+        submits = [m for m in tap.messages if m.kind == "submit"]
+        blocks = [m for m in tap.messages if m.kind == "block"]
+        assert len(submits) == 1
+        assert len(blocks) == len(platform.channel("trade-ab").members)
+        assert all(m.exposure is submits[0].exposure for m in blocks)
+        assert not submits[0].exposure.is_empty()
+
+    def test_envelopes_have_no_instance_dict(self, net):
+        message = net.send("A", "B", "ping", {}, exposure=Exposure.of(["A"]))
+        for record in (message, message.exposure):
+            assert not hasattr(record, "__dict__")
 
     def test_no_ack_record_outlives_its_exchange(self):
         # Latency above the first timeout: the first copy is acked during

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.telemetry.tracing import TraceContext, Tracer
+from repro.telemetry.tracing import SpanEvent, TraceContext, Tracer
 
 
 def make_tracer() -> tuple[Tracer, SimClock]:
@@ -111,3 +111,45 @@ def test_queries_find_and_group_spans():
     first_trace = tracer.trace_ids()[0]
     assert {s.name for s in tracer.spans_of(first_trace)} == {"x", "y"}
     assert all(isinstance(d, dict) for d in tracer.to_dicts())
+
+
+def test_span_records_have_no_instance_dict():
+    tracer, __ = make_tracer()
+    with tracer.span("op") as span:
+        tracer.add_event(span, "hop")
+    for record in (span, span.events[0], span.context()):
+        assert not hasattr(record, "__dict__")
+    assert isinstance(span.events[0], SpanEvent)
+
+
+def test_span_to_dict_with_zero_one_and_two_events():
+    tracer, clock = make_tracer()
+    dicts = []
+    for count in range(3):
+        with tracer.span("op", channel="c", size=count) as span:
+            for index in range(count):
+                clock.advance(0.5)
+                tracer.add_event(span, f"e{index}", hop=index)
+            clock.advance(1.0)
+        dicts.append(span.to_dict())
+
+    def expected(number, start, end, attributes, events):
+        return {
+            "name": "op", "trace_id": f"t{number:04d}",
+            "span_id": f"s{number:06d}", "parent_id": None,
+            "start": start, "end": end, "duration": end - start,
+            "attributes": attributes, "events": events,
+            "status": "ok", "error": None,
+        }
+
+    assert dicts == [
+        expected(1, 0.0, 1.0, {"channel": "c", "size": 0}, []),
+        expected(2, 1.0, 2.5, {"channel": "c", "size": 1}, [
+            {"time": 1.5, "name": "e0", "attributes": {"hop": 0}},
+        ]),
+        expected(3, 2.5, 4.5, {"channel": "c", "size": 2}, [
+            {"time": 3.0, "name": "e0", "attributes": {"hop": 0}},
+            {"time": 3.5, "name": "e1", "attributes": {"hop": 1}},
+        ]),
+    ]
+    assert isinstance(dicts[0]["events"], list)

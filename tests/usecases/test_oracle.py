@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ValidationError
+from repro.crypto.signatures import Signature
+from repro.platforms.corda.oracle import OracleAttestation
 from repro.usecases.oracle_attestation import OracleTradeWorkflow
 
 
@@ -18,7 +20,12 @@ def workflow():
 class TestOracleTrade:
     def test_trade_executes_with_attestation(self, workflow):
         trade = workflow.execute_trade("EUR/USD", 1.0842, 1_000_000)
-        assert trade.oracle_signature_valid
+        stx = trade.flow.stx
+        assert workflow.network.scheme.verify(
+            workflow.oracle.key.public,
+            stx.wire.signing_payload(),
+            stx.signatures[workflow.ORACLE_NAME],
+        )
         assert trade.flow.receipt is not None
 
     def test_oracle_never_sees_notional(self, workflow):
@@ -47,6 +54,27 @@ class TestOracleTrade:
         tx_id = trade.flow.stx.wire.tx_id
         for party in workflow.PARTIES:
             assert workflow.network.vault(party).knows_transaction(tx_id)
+
+    def test_bogus_oracle_signature_refused_before_notarisation(self):
+        wf = OracleTradeWorkflow()
+        wf.setup()
+        attested: list[str] = []
+
+        def forged_attest(ftx, fact_name):
+            attested.append(ftx.tx_id)
+            return OracleAttestation(
+                tx_id=ftx.tx_id, oracle=wf.ORACLE_NAME, fact_name=fact_name,
+                signature=Signature(1, 2),
+            )
+
+        wf.oracle.attest = forged_attest
+        notarised = wf.network.notary.total_notarised
+        with pytest.raises(ValidationError, match="signature"):
+            wf.execute_trade("EUR/USD", 1.0842, 1_000)
+        (tx_id,) = attested
+        for party in wf.PARTIES:
+            assert not wf.network.vault(party).knows_transaction(tx_id)
+        assert wf.network.notary.total_notarised == notarised
 
     def test_setup_required(self):
         wf = OracleTradeWorkflow()
